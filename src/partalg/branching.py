@@ -18,13 +18,12 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_MAX_LEVEL, ResourceLimitError
 from .partitions import (Partition, addable_nodes, check_partition, dominates,
                          format_partition, parse_partition, partitions_up_to,
                          remove_node, add_node, removable_nodes,
                          strictly_dominates)
 
-DEFAULT_MAX_LEVEL = 14
 
 Path = tuple[Partition, ...]
 

@@ -17,16 +17,14 @@ from .branching import (cell_dimension, enumerate_paths, format_path, vertex,
                         vertices_at_level)
 from .diagrams import enumerate_diagrams, format_diagram, parse_element
 from .dot import emit_dot
-from .errors import InternalCheckError, ResourceLimitError
+from .errors import (DEFAULT_MAX_K, DEFAULT_MAX_N, InternalCheckError,
+                     ResourceLimitError)
 from .kronecker import (check_monotone, kronecker_sequence, padded_kronecker,
                         stable_kronecker)
 from .modules import (decomposition_row, permissible_paths, radical_dimension,
                       restrict_cell, restrict_simple, simple_dimension)
 from .partitions import format_partition, parse_partition
 from .residues import linkage_classes
-
-DEFAULT_MAX_K = 14
-DEFAULT_MAX_N = 10
 
 
 def _emit(payload) -> None:

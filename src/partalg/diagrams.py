@@ -2,10 +2,18 @@
 
 A diagram on m dots is a set partition of {1, ..., m, 1', ..., m'}.  The
 unprimed points form the southern boundary, the primed points the northern
-boundary; a primed point i' is encoded as the negative integer -i.  Points
-order as 1 < 2 < ... < m < 1' < 2' < ... < m', and a diagram is stored
-canonically as a tuple of blocks, each block sorted, blocks sorted by their
-least element.
+boundary.  Each point has an integer code: southern i is i-1, northern i' is
+m+i-1, so the codes 0, ..., 2m-1 order the points as
+1 < 2 < ... < m < 1' < 2' < ... < m'.  A diagram is stored as one tuple of
+blocks, each block a sorted tuple of codes, blocks sorted by their first
+code.  Python's own order, hashing and equality on that tuple are the
+diagram's; no other form is stored.  The signed-point view (i for i, -i for
+i') that the constructor accepts is derived on demand as `blocks`.
+
+enumerate_diagrams generates set partitions directly in this order: the
+first block is the least code plus a subset of the other codes, subsets in
+lexicographic order, and the codes left over are partitioned the same way.
+No sort is needed.
 
 Levels of the tower: level k = 2m is the full diagram algebra on m dots;
 level k = 2m-1 is the subalgebra of diagrams whose block containing m also
@@ -19,16 +27,17 @@ exact.
 
 from __future__ import annotations
 
-from .errors import ResourceLimitError
-from .zpoly import ZPoly, parse_zpoly
+from functools import cache
+from operator import attrgetter
 
-DEFAULT_MAX_LEVEL = 14
+from .errors import DEFAULT_MAX_LEVEL, ResourceLimitError
+from .zpoly import ZPoly, parse_zpoly
 
 Point = int  # i for southern i, -i for northern i'
 
-
-def point_key(p: Point) -> tuple[int, int]:
-    return (0, p) if p > 0 else (1, -p)
+_new = object.__new__
+_set = object.__setattr__
+_codes = attrgetter("codes")
 
 
 def dots_for_level(k: int) -> int:
@@ -40,56 +49,67 @@ def dots_for_level(k: int) -> int:
 class Diagram:
     """A set partition of the 2m boundary points, in canonical form."""
 
-    __slots__ = ("dots", "blocks")
+    __slots__ = ("dots", "codes")
 
     def __init__(self, dots: int, blocks):
-        seen: set[Point] = set()
+        seen: set[int] = set()
         canon = []
         for block in blocks:
-            block = tuple(sorted(block, key=point_key))
-            if not block:
-                raise ValueError("empty block")
+            codes = []
             for p in block:
-                if not isinstance(p, int) or p == 0 or abs(p) > dots:
+                if (not isinstance(p, int) or isinstance(p, bool) or p == 0
+                        or abs(p) > dots):
                     raise ValueError(f"point {p} out of range for {dots} dots")
-                if p in seen:
+                c = p - 1 if p > 0 else dots - p - 1
+                if c in seen:
                     raise ValueError(f"point {p} repeated")
-                seen.add(p)
-            canon.append(block)
+                seen.add(c)
+                codes.append(c)
+            if not codes:
+                raise ValueError("empty block")
+            canon.append(tuple(sorted(codes)))
         if len(seen) != 2 * dots:
             raise ValueError("blocks do not cover all points")
-        canon.sort(key=lambda b: point_key(b[0]))
-        object.__setattr__(self, "dots", dots)
-        object.__setattr__(self, "blocks", tuple(canon))
+        canon.sort()
+        _set(self, "dots", dots)
+        _set(self, "codes", tuple(canon))
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
 
+    @property
+    def blocks(self) -> tuple[tuple[Point, ...], ...]:
+        """The blocks as signed points, in canonical order."""
+        m = self.dots
+        return tuple(tuple(c + 1 if c < m else m - 1 - c for c in b)
+                     for b in self.codes)
+
     def __eq__(self, other):
-        return (isinstance(other, Diagram)
-                and self.dots == other.dots and self.blocks == other.blocks)
+        # the codes 0..2m-1 fix the dot count, so codes alone decide
+        return isinstance(other, Diagram) and self.codes == other.codes
 
     def __hash__(self):
-        return hash((self.dots, self.blocks))
-
-    def sort_key(self):
-        return tuple(tuple(point_key(p) for p in b) for b in self.blocks)
+        return hash(self.codes)
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return self.codes < other.codes
 
     def involute(self) -> "Diagram":
         """Flip the diagram: swap primed and unprimed points."""
-        return Diagram(self.dots, [[-p for p in b] for b in self.blocks])
+        m = self.dots
+        flipped = [tuple([c - m for c in b if c >= m]
+                         + [c + m for c in b if c < m]) for b in self.codes]
+        flipped.sort()
+        return _diagram(m, tuple(flipped))
 
     def has_joined_last_dot(self) -> bool:
         """True when m and m' share a block (membership in the odd level)."""
         m = self.dots
         if m == 0:
             return True
-        for b in self.blocks:
-            if m in b:
-                return -m in b
+        for b in self.codes:
+            if m - 1 in b:
+                return b[-1] == 2 * m - 1
         raise AssertionError("unreachable")
 
     def __str__(self):
@@ -98,12 +118,26 @@ class Diagram:
     __repr__ = __str__
 
 
+def _diagram(dots: int, codes: tuple) -> Diagram:
+    """A Diagram from codes already in canonical form, unchecked."""
+    d = _new(Diagram)
+    _set(d, "dots", dots)
+    _set(d, "codes", codes)
+    return d
+
+
+@cache
+def _labels(m: int) -> tuple[str, ...]:
+    """The printed point of each code on m dots."""
+    south = [str(i) for i in range(1, m + 1)]
+    return tuple(south + [f"{i}'" for i in south])
+
+
 def format_diagram(d: Diagram) -> str:
     """Render like [[1,2'],[2],[1']]; primes mark northern points."""
-    def fmt(p):
-        return str(p) if p > 0 else f"{-p}'"
-    return "[" + ",".join("[" + ",".join(fmt(p) for p in b) + "]"
-                          for b in d.blocks) + "]"
+    label = _labels(d.dots).__getitem__
+    return "[" + ",".join(["[" + ",".join(map(label, b)) + "]"
+                           for b in d.codes]) + "]"
 
 
 def parse_diagram(text: str, dots: int | None = None) -> Diagram:
@@ -134,7 +168,7 @@ def parse_diagram(text: str, dots: int | None = None) -> Diagram:
 
 
 def identity_diagram(m: int) -> Diagram:
-    return Diagram(m, [[i, -i] for i in range(1, m + 1)])
+    return _diagram(m, tuple((i, m + i) for i in range(m)))
 
 
 def compose(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
@@ -143,59 +177,54 @@ def compose(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     if x.dots != y.dots:
         raise ValueError("diagrams on different dot counts")
     m = x.dots
-    # slots 0..m-1 north, m..2m-1 middle, 2m..3m-1 south
+    m2 = m + m
+    # Union-find on 3m slots: 0..m-1 the middle row (x's southern codes),
+    # m..2m-1 the northern row (x's northern codes), 2m..3m-1 the southern
+    # row (y's southern codes plus 2m).  x's blocks keep their codes as
+    # slots; y's northern code m+i meets x's southern code i in the middle.
     parent = list(range(3 * m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for block in x.blocks:
-        slots = [(-p - 1) if p < 0 else (m + p - 1) for p in block]
-        for s in slots[1:]:
-            union(slots[0], s)
-    for block in y.blocks:
-        slots = [(m + (-p) - 1) if p < 0 else (2 * m + p - 1) for p in block]
-        for s in slots[1:]:
-            union(slots[0], s)
-
-    components: dict[int, list[int]] = {}
-    for slot in range(3 * m):
-        components.setdefault(find(slot), []).append(slot)
-
-    blocks = []
-    deleted = 0
-    for slots in components.values():
-        pts = []
-        for s in slots:
-            if s < m:
-                pts.append(-(s + 1))
-            elif s >= 2 * m:
-                pts.append(s - 2 * m + 1)
-        if pts:
-            blocks.append(pts)
+    for block in x.codes:
+        root = block[0]
+        for c in block[1:]:
+            parent[c] = root
+    for block in y.codes:
+        root = -1
+        for c in block:
+            s = c - m if c >= m else c + m2
+            while parent[s] != s:
+                parent[s] = s = parent[parent[s]]
+            if root < 0:
+                root = s
+            elif s != root:
+                parent[s] = root
+    # walking the result's codes in order yields blocks already canonical
+    groups: dict[int, list[int]] = {}
+    for c in range(m2):
+        s = c + m2 if c < m else c
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        group = groups.get(s)
+        if group is None:
+            groups[s] = [c]
         else:
-            deleted += 1
-    return Diagram(m, blocks), deleted
+            group.append(c)
+    middle = set()
+    for s in range(m):
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        middle.add(s)
+    return (_diagram(m, tuple(map(tuple, groups.values()))),
+            len(middle - groups.keys()))
 
 
-def _set_partitions(items):
-    """All set partitions of items, blocks built left to right."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [sub[i] + [first]] + sub[i + 1:]
-        yield [[first]] + sub
+def _splits(rest: tuple):
+    """(chosen, left) for every subset chosen of the sorted tuple rest, in
+    lexicographic order of chosen, with left the codes not chosen."""
+    yield (), rest
+    for i, c in enumerate(rest):
+        skipped = rest[:i]
+        for chosen, left in _splits(rest[i + 1:]):
+            yield (c,) + chosen, skipped + left
 
 
 def enumerate_diagrams(k: int, max_level: int = DEFAULT_MAX_LEVEL) -> list[Diagram]:
@@ -210,19 +239,29 @@ def enumerate_diagrams(k: int, max_level: int = DEFAULT_MAX_LEVEL) -> list[Diagr
             f"diagram enumeration at level {k} exceeds bound {max_level}")
     m = dots_for_level(k)
     if m == 0:
-        return [Diagram(0, [])]
-    points = [i for i in range(1, m + 1)] + [-i for i in range(1, m + 1)]
+        return [_diagram(0, ())]
+    # odd levels keep m and m' (codes m-1 and 2m-1) in one block
+    a, b = (m - 1, 2 * m - 1) if k % 2 == 1 else (-1, -1)
     out = []
-    if k % 2 == 0:
-        for blocks in _set_partitions(points):
-            out.append(Diagram(m, blocks))
-    else:
-        # fuse m and m' into one super-point, then expand
-        fused = [p for p in points if p not in (m, -m)]
-        for blocks in _set_partitions(fused + [m]):
-            expanded = [b + [-m] if m in b else b for b in blocks]
-            out.append(Diagram(m, expanded))
-    out.sort()
+    # codes not yet placed -> the choices of their next block, in order:
+    # (block, codes left after it); the same leftover recurs many times
+    choices: dict[tuple, list] = {}
+
+    def place(prefix: tuple, codes: tuple) -> None:
+        options = choices.get(codes)
+        if options is None:
+            options = choices[codes] = []
+            for chosen, left in _splits(codes[1:]):
+                block = (codes[0],) + chosen
+                if (a in block) == (b in block):
+                    options.append((block, left))
+        for block, left in options:
+            if left:
+                place(prefix + (block,), left)
+            else:
+                out.append(_diagram(m, prefix + (block,)))
+
+    place((), tuple(range(2 * m)))
     return out
 
 
@@ -243,9 +282,9 @@ class AlgebraElement:
                 raise ValueError(f"diagram {d} not in the odd level {level}")
             if c:
                 clean[d] = clean.get(d, ZPoly()) + c
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "terms",
-                           {d: clean[d] for d in sorted(clean) if clean[d]})
+        _set(self, "level", level)
+        _set(self, "terms",
+             {d: clean[d] for d in sorted(clean, key=_codes) if clean[d]})
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -291,19 +330,37 @@ class AlgebraElement:
             raise ValueError("elements at different levels")
 
     def __mul__(self, other):
+        # Products stay in the level (odd levels are closed under
+        # composition), so the result is built unchecked: coefficients add
+        # up in integer lists, one ZPoly and one sort at the end.
         self._check(other)
-        terms: dict[Diagram, ZPoly] = {}
+        right = [(dy, cy.coeffs) for dy, cy in other.terms.items()]
+        sums: dict[Diagram, list[int]] = {}
         for dx, cx in self.terms.items():
-            for dy, cy in other.terms.items():
+            cx = cx.coeffs
+            for dy, cy in right:
                 d, t = compose(dx, dy)
-                contrib = (cx * cy).shifted(t)
-                terms[d] = terms.get(d, ZPoly()) + contrib
-        return AlgebraElement(self.level, terms)
+                acc = sums.get(d)
+                if acc is None:
+                    acc = sums[d] = []
+                short = t + len(cx) + len(cy) - 1 - len(acc)
+                if short > 0:
+                    acc.extend([0] * short)
+                for i, a in enumerate(cx, t):
+                    for j, b in enumerate(cy, i):
+                        acc[j] += a * b
+        terms = {}
+        for d in sorted(sums, key=_codes):
+            c = ZPoly(sums[d])
+            if c:
+                terms[d] = c
+        return _element(self.level, terms)
 
     def star(self) -> "AlgebraElement":
         """The involution: flip every diagram, keep coefficients."""
-        return AlgebraElement(self.level,
-                              {d.involute(): c for d, c in self.terms.items()})
+        flipped = {d.involute(): c for d, c in self.terms.items()}
+        return _element(self.level,
+                        {d: flipped[d] for d in sorted(flipped, key=_codes)})
 
     def __str__(self):
         if not self.terms:
@@ -320,6 +377,15 @@ class AlgebraElement:
         return " + ".join(pieces)
 
     __repr__ = __str__
+
+
+def _element(level: int, terms: dict) -> AlgebraElement:
+    """An AlgebraElement from nonzero terms of the level already in
+    canonical order, unchecked."""
+    e = _new(AlgebraElement)
+    _set(e, "level", level)
+    _set(e, "terms", terms)
+    return e
 
 
 def parse_element(text: str, level: int) -> AlgebraElement:
@@ -351,10 +417,15 @@ def embed_up(a: AlgebraElement) -> AlgebraElement:
     """
     k = a.level
     if k % 2 == 1:
-        return AlgebraElement(k + 1, dict(a.terms))
+        return _element(k + 1, dict(a.terms))
     m = dots_for_level(k)
+    # northern codes move up by one to make room for the new southern code
+    # m; its block (m, 2m+1) sorts after every block opening with a southern
+    # code, and the shift keeps the order of the other diagrams
     terms = {}
     for d, c in a.terms.items():
-        blocks = list(d.blocks) + [(m + 1, -(m + 1))]
-        terms[Diagram(m + 1, blocks)] = c
-    return AlgebraElement(k + 1, terms)
+        blocks = [tuple([p if p < m else p + 1 for p in b]) for b in d.codes]
+        at = sum(1 for b in d.codes if b[0] < m)
+        blocks.insert(at, (m, 2 * m + 1))
+        terms[_diagram(m + 1, tuple(blocks))] = c
+    return _element(k + 1, terms)

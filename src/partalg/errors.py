@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types and the default resource limits."""
+
+# Default bounds; a caller may always pass a larger one explicitly.
+DEFAULT_MAX_LEVEL = 14  # levels the library enumerates diagrams or paths at
+DEFAULT_MAX_K = 14      # the CLI's --max-k
+DEFAULT_MAX_N = 10      # the CLI's --max-n
 
 
 class ResourceLimitError(Exception):

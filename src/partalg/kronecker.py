@@ -22,8 +22,6 @@ from typing import NamedTuple
 from .modules import first_semisimple_n
 from .partitions import Partition, check_partition, partitions_of
 
-DEFAULT_MAX_N = 10
-
 
 @cache
 def class_size(mu: Partition) -> int:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .branching import (DEFAULT_MAX_LEVEL, Path, Vertex, cell_dimension,
-                        check_path, enumerate_paths, parents,
-                        vertices_at_level)
+from .branching import (Path, Vertex, cell_dimension, check_path,
+                        enumerate_paths, parents, vertices_at_level)
+from .errors import DEFAULT_MAX_LEVEL
 from .geometry import AlcovePosition, classify, embed, embedded_path, reflected_vertex
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .branching import (DEFAULT_MAX_LEVEL, Path, Vertex, check_path,
-                        enumerate_paths, vertices_at_level)
-from .errors import InternalCheckError
+from .branching import (Path, Vertex, check_path, enumerate_paths,
+                        vertices_at_level)
+from .errors import DEFAULT_MAX_LEVEL, InternalCheckError
 from .modules import blocks_at_level
 from .partitions import node_content
 from .zpoly import ZPoly

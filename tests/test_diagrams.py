@@ -50,6 +50,15 @@ def test_diagram_validation():
         Diagram(1, [[1], [1], [-1]])  # repeated
 
 
+def test_bool_points_rejected():
+    # True == 1 as an int, but it is not a point
+    with pytest.raises(ValueError):
+        Diagram(1, [[True, -1]])
+    with pytest.raises(ValueError):
+        Diagram(1, [[1], [False]])
+    assert str(Diagram(1, [[1, -1]])) == "[[1,1']]"
+
+
 def test_identity_composes_trivially():
     for m in (1, 2, 3):
         e = identity_diagram(m)
