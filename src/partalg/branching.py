@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .errors import DEFAULT_MAX_LEVEL, ResourceLimitError
+from .errors import DEFAULT_MAX_LEVEL, guard
 from .partitions import (Partition, addable_nodes, check_partition, dominates,
                          format_partition, parse_partition, partitions_up_to,
                          remove_node, add_node, removable_nodes,
@@ -101,9 +101,7 @@ def cell_dimension(v: Vertex) -> int:
 
 def enumerate_paths(v: Vertex, max_level: int = DEFAULT_MAX_LEVEL) -> list[Path]:
     """All paths from (empty, 0) to v, in descending path order."""
-    if v.level > max_level:
-        raise ResourceLimitError(
-            f"path enumeration at level {v.level} exceeds bound {max_level}")
+    guard("path enumeration level", v.level, "max_level", max_level)
 
     @cache
     def rec(u: Vertex) -> tuple[Path, ...]:

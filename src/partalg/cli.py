@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Every verb prints deterministic JSON (or CSV/DOT where asked) so runs are
-byte-for-byte reproducible.  Exit codes: 0 success, 1 domain error, 2 usage
-error, 3 refusal on a resource bound.
+Every verb prints deterministic JSON (CSV where `--format csv` is asked for;
+`graph-dot` prints DOT), so runs are byte-for-byte reproducible.  Exit codes:
+0 success, 1 domain error, 2 usage error, 3 refusal on a resource bound.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .branching import (cell_dimension, enumerate_paths, format_path, vertex,
                         vertices_at_level)
 from .diagrams import enumerate_diagrams, format_diagram, parse_element
 from .dot import emit_dot
-from .errors import (DEFAULT_MAX_K, DEFAULT_MAX_N, InternalCheckError,
-                     ResourceLimitError)
+from .errors import (DEFAULT_MAX_LEVEL, DEFAULT_MAX_N, InternalCheckError,
+                     ResourceLimitError, guard)
 from .kronecker import (check_monotone, kronecker_sequence, padded_kronecker,
                         stable_kronecker)
 from .modules import (decomposition_row, permissible_paths, radical_dimension,
@@ -31,11 +31,13 @@ def _emit(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _emit_csv(rows, header) -> None:
+def _emit_sequence_csv(lam, mu, nu, entries) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(["lambda", "mu", "nu", "n", "g", "valid"])
+    writer.writerows([format_partition(lam), format_partition(mu),
+                      format_partition(nu), e.n, e.g, e.valid]
+                     for e in entries)
     sys.stdout.write(buf.getvalue())
 
 
@@ -43,20 +45,12 @@ def _vertex_json(v) -> dict:
     return {"shape": format_partition(v.shape), "level": v.level}
 
 
-def _guard_level(k: int, max_k: int) -> None:
-    if k > max_k:
-        raise ResourceLimitError(
-            f"level {k} exceeds --max-k {max_k}; raise the bound explicitly")
-
-
-def _guard_n(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise ResourceLimitError(
-            f"n {n} exceeds --max-n {max_n}; raise the bound explicitly")
+def _triple_json(lam, mu, nu) -> dict:
+    return {"lambda": format_partition(lam), "mu": format_partition(mu),
+            "nu": format_partition(nu)}
 
 
 def cmd_diagrams(args) -> None:
-    _guard_level(args.k, args.max_k)
     diags = enumerate_diagrams(args.k, max_level=args.max_k)
     _emit({"k": args.k, "count": len(diags),
            "diagrams": [format_diagram(d) for d in diags]})
@@ -69,7 +63,6 @@ def cmd_mult(args) -> None:
 
 
 def cmd_paths(args) -> None:
-    _guard_level(args.k, args.max_k)
     v = vertex(args.lam, args.k)
     paths = enumerate_paths(v, max_level=args.max_k)
     _emit({"vertex": _vertex_json(v), "count": len(paths),
@@ -122,79 +115,58 @@ def cmd_simple_dim(args) -> None:
 
 def cmd_restrict(args) -> None:
     v = vertex(args.lam, args.k)
-    if args.module == "cell":
-        down = restrict_cell(v)
-    else:
-        down = restrict_simple(v, args.n)
+    down = (restrict_cell(v) if args.module == "cell"
+            else restrict_simple(v, args.n))
     _emit({"vertex": _vertex_json(v), "n": args.n, "module": args.module,
            "restriction": [_vertex_json(u) for u in down]})
 
 
 def cmd_permissible(args) -> None:
-    _guard_level(args.k, args.max_k)
     v = vertex(args.lam, args.k)
     paths = permissible_paths(v, args.n, max_level=args.max_k)
     _emit({"vertex": _vertex_json(v), "n": args.n, "count": len(paths),
            "paths": [format_path(t) for t in paths]})
 
 
-def _sequence_rows(lam, mu, nu, entries):
-    return [[format_partition(lam), format_partition(mu), format_partition(nu),
-             e.n, e.g, e.valid] for e in entries]
-
-
 def cmd_kronecker(args) -> None:
     lam, mu, nu = args.lam, args.mu, args.nu
     if args.n is not None:
-        _guard_n(args.n, args.max_n)
+        guard("n", args.n, "--max-n", args.max_n)
         g, valid = padded_kronecker(lam, mu, nu, args.n)
-        _emit({"lambda": format_partition(lam), "mu": format_partition(mu),
-               "nu": format_partition(nu), "n": args.n, "g": g,
+        _emit({**_triple_json(lam, mu, nu), "n": args.n, "g": g,
                "valid": valid})
         return
     nmax = args.nmax if args.nmax is not None else args.max_n
-    _guard_n(nmax, args.max_n)
+    guard("n", nmax, "--max-n", args.max_n)
     entries = kronecker_sequence(lam, mu, nu, nmax)
     if args.format == "csv":
-        _emit_csv(_sequence_rows(lam, mu, nu, entries),
-                  ["lambda", "mu", "nu", "n", "g", "valid"])
+        _emit_sequence_csv(lam, mu, nu, entries)
         return
-    _emit({"lambda": format_partition(lam), "mu": format_partition(mu),
-           "nu": format_partition(nu),
+    _emit({**_triple_json(lam, mu, nu),
            "sequence": [[e.n, e.g, e.valid] for e in entries]})
 
 
 def cmd_stable(args) -> None:
-    g, n0 = stable_kronecker(args.lam, args.mu, args.nu)
-    _emit({"lambda": format_partition(args.lam), "mu": format_partition(args.mu),
-           "nu": format_partition(args.nu), "stable": g, "stable_at": n0})
+    g, n0 = stable_kronecker(args.lam, args.mu, args.nu, max_n=args.max_n)
+    _emit({**_triple_json(args.lam, args.mu, args.nu), "stable": g,
+           "stable_at": n0})
 
 
 def cmd_monotone(args) -> None:
-    if args.nmax is not None:
-        _guard_n(args.nmax, args.max_n)
-    report = check_monotone(args.lam, args.mu, args.nu, args.nmax)
-    payload = {
-        "lambda": format_partition(report.lam),
-        "mu": format_partition(report.mu),
-        "nu": format_partition(report.nu),
-        "sequence": [[e.n, e.g, e.valid] for e in report.entries],
-        "stable": report.stable,
-        "stable_at": report.stable_at,
-        "first_flat": report.first_flat,
-        "passed": report.passed,
-        "violations": list(report.violations),
-    }
+    report = check_monotone(args.lam, args.mu, args.nu, args.nmax,
+                            max_n=args.max_n)
     if args.format == "csv":
-        _emit_csv(_sequence_rows(report.lam, report.mu, report.nu,
-                                 report.entries),
-                  ["lambda", "mu", "nu", "n", "g", "valid"])
+        _emit_sequence_csv(report.lam, report.mu, report.nu, report.entries)
         return
-    _emit(payload)
+    _emit({**_triple_json(report.lam, report.mu, report.nu),
+           "sequence": [[e.n, e.g, e.valid] for e in report.entries],
+           "stable": report.stable, "stable_at": report.stable_at,
+           "first_flat": report.first_flat, "passed": report.passed,
+           "violations": list(report.violations)})
 
 
 def cmd_graph_dot(args) -> None:
-    _guard_level(args.k, args.max_k)
+    guard("level", args.k, "--max-k", args.max_k)
     sys.stdout.write(emit_dot(args.k, args.n))
 
 
@@ -214,58 +186,66 @@ def _partition_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every flag a verb may take; a trailing "?" marks a flag's optional form
+FLAGS = {
+    "--k": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--n?": dict(type=int, default=None),
+    "--lambda": dict(dest="lam", type=_partition_arg, required=True),
+    "--lambda?": dict(dest="lam", type=_partition_arg, default=None),
+    "--mu": dict(type=_partition_arg, required=True),
+    "--nu": dict(type=_partition_arg, required=True),
+    "--nmax": dict(type=int, default=None),
+    "--a": dict(required=True),
+    "--b": dict(required=True),
+    "--module": dict(choices=("simple", "cell"), default="simple"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--verify": dict(action="store_true"),
+    "--max-k": dict(dest="max_k", type=int, default=DEFAULT_MAX_LEVEL),
+    "--max-n": dict(dest="max_n", type=int, default=DEFAULT_MAX_N),
+}
+
+# verb -> (handler, the flags that handler reads); the whole CLI surface
+VERBS = {
+    "diagrams": (cmd_diagrams, ("--k", "--max-k")),
+    "mult": (cmd_mult, ("--k", "--a", "--b")),
+    "paths": (cmd_paths, ("--k", "--lambda", "--max-k")),
+    "dims": (cmd_dims, ("--k", "--lambda?")),
+    "blocks": (cmd_blocks, ("--k", "--n", "--verify", "--max-k")),
+    "decomp": (cmd_decomp, ("--k", "--n", "--lambda?")),
+    "simple-dim": (cmd_simple_dim, ("--k", "--n", "--lambda")),
+    "restrict": (cmd_restrict, ("--k", "--n", "--lambda", "--module")),
+    "permissible": (cmd_permissible, ("--k", "--n", "--lambda", "--max-k")),
+    "kronecker": (cmd_kronecker, ("--n?", "--lambda", "--mu", "--nu",
+                                  "--nmax", "--format", "--max-n")),
+    "stable": (cmd_stable, ("--lambda", "--mu", "--nu", "--max-n")),
+    "monotone": (cmd_monotone, ("--lambda", "--mu", "--nu", "--nmax",
+                                "--format", "--max-n")),
+    "graph-dot": (cmd_graph_dot, ("--k", "--n", "--max-k")),
+    "selftest": (cmd_selftest, ()),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one verb of VERBS, or for all of them by default."""
     parser = argparse.ArgumentParser(
         prog="partalg",
         description="partition-algebra combinatorics and Kronecker limits")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **needs):
+    for name in (verb,) if verb is not None else VERBS:
+        fn, flags = VERBS[name]
         p = sub.add_parser(name)
-        if needs.get("k"):
-            p.add_argument("--k", type=int, required=True)
-        if needs.get("n"):
-            p.add_argument("--n", type=int, required=needs["n"] == "required")
-        if needs.get("lam"):
-            p.add_argument("--lambda", dest="lam", type=_partition_arg,
-                           required=needs["lam"] == "required", default=None)
-        if needs.get("mu"):
-            p.add_argument("--mu", type=_partition_arg, required=True)
-            p.add_argument("--nu", type=_partition_arg, required=True)
-        if needs.get("nmax"):
-            p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv", "dot"),
-                       default="json")
-        p.add_argument("--verify", action="store_true")
-        p.add_argument("--max-k", dest="max_k", type=int, default=DEFAULT_MAX_K)
-        p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N)
+        for flag in flags:
+            p.add_argument(flag.rstrip("?"), **FLAGS[flag])
         p.set_defaults(fn=fn)
-        return p
-
-    add("diagrams", cmd_diagrams, k=True)
-    p = add("mult", cmd_mult, k=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    add("paths", cmd_paths, k=True, lam="required")
-    add("dims", cmd_dims, k=True, lam="optional")
-    add("blocks", cmd_blocks, k=True, n="required")
-    add("decomp", cmd_decomp, k=True, n="required", lam="optional")
-    add("simple-dim", cmd_simple_dim, k=True, n="required", lam="required")
-    p = add("restrict", cmd_restrict, k=True, n="required", lam="required")
-    p.add_argument("--module", choices=("simple", "cell"), default="simple")
-    add("permissible", cmd_permissible, k=True, n="required", lam="required")
-    add("kronecker", cmd_kronecker, n="optional", lam="required", mu=True,
-        nmax=True)
-    add("stable", cmd_stable, lam="required", mu=True)
-    add("monotone", cmd_monotone, lam="required", mu=True, nmax=True)
-    add("graph-dot", cmd_graph_dot, k=True, n="required")
-    add("selftest", cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # no verb, --help or an unknown verb: the full parser and its messages
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
         args.fn(args)
     except ResourceLimitError as exc:

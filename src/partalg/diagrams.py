@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cache
 from operator import attrgetter
 
-from .errors import DEFAULT_MAX_LEVEL, ResourceLimitError
+from .errors import DEFAULT_MAX_LEVEL, guard
 from .zpoly import ZPoly, parse_zpoly
 
 Point = int  # i for southern i, -i for northern i'
@@ -234,9 +234,7 @@ def enumerate_diagrams(k: int, max_level: int = DEFAULT_MAX_LEVEL) -> list[Diagr
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
-    if k > max_level:
-        raise ResourceLimitError(
-            f"diagram enumeration at level {k} exceeds bound {max_level}")
+    guard("diagram enumeration level", k, "max_level", max_level)
     m = dots_for_level(k)
     if m == 0:
         return [_diagram(0, ())]

@@ -19,6 +19,7 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
+from .errors import guard
 from .modules import first_semisimple_n
 from .partitions import Partition, check_partition, partitions_of
 
@@ -151,17 +152,27 @@ def first_padded_n(lam, mu, nu) -> int:
     return max(sum(tau) + (tau[0] if tau else 0) for tau in (lam, mu, nu))
 
 
-def stable_kronecker(lam, mu, nu) -> tuple[int, int]:
-    """The limit coefficient and the level n0 where the sequence is provably
-    flat: n0 = max(first semisimple n of degree 2(|lam|+|mu|), first n with
-    all paddings valid).  When |nu| exceeds |lam| + |mu| the limit is zero."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    p = sum(lam) + sum(mu)
-    n0 = max(first_semisimple_n(2 * p), first_padded_n(lam, mu, nu))
+def _stable_level(lam, mu, nu) -> int:
+    return max(first_semisimple_n(2 * (sum(lam) + sum(mu))),
+               first_padded_n(lam, mu, nu))
+
+
+def _limit_at(lam, mu, nu, n0: int) -> int:
     g, valid = padded_kronecker(lam, mu, nu, n0)
     if not valid:
         raise AssertionError(f"padding invalid at the stable level {n0}")
-    return g, n0
+    return g
+
+
+def stable_kronecker(lam, mu, nu, max_n: int | None = None) -> tuple[int, int]:
+    """The limit coefficient and the level n0 where the sequence is provably
+    flat: n0 = max(first semisimple n of degree 2(|lam|+|mu|), first n with
+    all paddings valid).  When |nu| exceeds |lam| + |mu| the limit is zero.
+    Refused when n0 exceeds max_n (None: no bound), before any class sum."""
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    n0 = _stable_level(lam, mu, nu)
+    guard("stable level n0", n0, "max_n", max_n)
+    return _limit_at(lam, mu, nu, n0), n0
 
 
 class MonotoneReport(NamedTuple):
@@ -176,12 +187,16 @@ class MonotoneReport(NamedTuple):
     violations: tuple[str, ...]
 
 
-def check_monotone(lam, mu, nu, n_max: int | None = None) -> MonotoneReport:
-    """Verify g_n <= g_{n+1} <= stable limit on [0, n_max] (default n0 + 2)."""
+def check_monotone(lam, mu, nu, n_max: int | None = None,
+                   max_n: int | None = None) -> MonotoneReport:
+    """Verify g_n <= g_{n+1} <= stable limit on [0, n_max] (default n0 + 2).
+    Refused when n_max exceeds max_n (None: no bound), before any class sum."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    stable, n0 = stable_kronecker(lam, mu, nu)
+    n0 = _stable_level(lam, mu, nu)
     if n_max is None:
         n_max = n0 + 2
+    guard("n_max", n_max, "max_n", max_n)
+    stable = _limit_at(lam, mu, nu, n0)
     entries = kronecker_sequence(lam, mu, nu, n_max)
     violations = []
     for prev, cur in zip(entries, entries[1:]):

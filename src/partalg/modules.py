@@ -76,6 +76,12 @@ class DecompositionRow(NamedTuple):
     factors: tuple[tuple[Vertex, int], ...]
 
 
+def _vanishes(v: Vertex, n: int) -> bool:
+    """The one simple that is zero: the empty shape at n = 0 on an even
+    level >= 2."""
+    return n == 0 and v.level % 2 == 0 and v.level >= 2 and v.shape == ()
+
+
 def decomposition_row(v: Vertex, n: int) -> DecompositionRow:
     """Factors of the cell module of v: [L(v)] + [L(next chain member)],
     dropping L(v) in the vanishing case and at the chain top keeping only
@@ -83,7 +89,7 @@ def decomposition_row(v: Vertex, n: int) -> DecompositionRow:
     bc = block_chain(v, n)
     idx = bc.chain.index(v)
     factors: list[tuple[Vertex, int]] = []
-    if not (n == 0 and v.level % 2 == 0 and v.level >= 2 and v.shape == ()):
+    if not _vanishes(v, n):
         factors.append((v, 1))
     if idx + 1 < len(bc.chain):
         factors.append((bc.chain[idx + 1], 1))
@@ -120,6 +126,13 @@ def _position(v: Vertex, n: int) -> AlcovePosition:
     return classify(embed(v, n))
 
 
+def _simple_parents(v: Vertex, n: int, j: int) -> list[Vertex]:
+    """Parents of a vertex in alcove j that its simple module restricts to:
+    those in alcove j or on the facing wall j - 1 (walls start at 1)."""
+    return [u for u in parents(v)
+            if _position(u, n) in (("alcove", j), ("wall", j - 1))]
+
+
 @lru_cache(maxsize=None)
 def _simple_dimension(shape, level, n) -> int:
     v = Vertex(shape, level)
@@ -128,13 +141,8 @@ def _simple_dimension(shape, level, n) -> int:
     pos = _position(v, n)
     if pos.kind == "wall":
         return cell_dimension(v)
-    j = pos.index
-    total = 0
-    for u in parents(v):
-        upos = _position(u, n)
-        if upos == ("alcove", j) or (j > 1 and upos == ("wall", j - 1)):
-            total += _simple_dimension(u.shape, u.level, n)
-    return total
+    return sum(_simple_dimension(u.shape, u.level, n)
+               for u in _simple_parents(v, n, pos.index))
 
 
 def simple_dimension(v: Vertex, n: int) -> int:
@@ -153,7 +161,7 @@ def simple_dimension_by_paths(v: Vertex, n: int,
 def simple_dimension_by_alternating_sum(v: Vertex, n: int) -> int:
     """Same number, telescoped down the block chain from v:
     dim L = dim Cell(v) - dim Cell(next) + dim Cell(after next) - ..."""
-    if n == 0 and v.level % 2 == 0 and v.level >= 2 and v.shape == ():
+    if _vanishes(v, n):
         return 0
     bc = block_chain(v, n)
     idx = bc.chain.index(v)
@@ -188,13 +196,7 @@ def restrict_simple(v: Vertex, n: int) -> list[Vertex]:
             "use restrict_cell, the modules coincide on walls")
     if v.level == 0:
         raise ValueError("level 0 does not restrict")
-    j = pos.index
-    out = []
-    for u in parents(v):
-        upos = _position(u, n)
-        if upos == ("alcove", j) or (j > 1 and upos == ("wall", j - 1)):
-            out.append(u)
-    return out
+    return _simple_parents(v, n, pos.index)
 
 
 def blocks_at_level(k: int, n: int) -> list[tuple[Vertex, ...]]:

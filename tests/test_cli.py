@@ -1,10 +1,11 @@
 """End-to-end command-line checks: frozen outputs, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from partalg.cli import main
+from partalg.cli import VERBS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -187,6 +188,23 @@ def test_resource_refusals(capsys):
                      "--nu", "1", "--n", "12", "--max-n", "12")
     assert rc == 0
     assert json.loads(out)["g"] == 1
+    # stable refuses once n0 = 11 exceeds the default --max-n 10
+    rc, out, err = run(capsys, "stable", "--lambda", "2,1", "--mu", "2,1",
+                       "--nu", "2,1")
+    assert rc == 3
+    assert out == ""
+    assert "refused" in err
+    rc, out, _ = run(capsys, "stable", "--lambda", "2,1", "--mu", "2,1",
+                     "--nu", "2,1", "--max-n", "11")
+    assert rc == 0
+    assert '"stable":9' in out
+    # monotone refuses once its default range end n0 + 2 = 9 exceeds
+    # --max-n, also where n0 = 7 itself does not
+    for max_n in ("3", "8"):
+        rc, out, _ = run(capsys, "monotone", "--lambda", "2", "--mu", "2",
+                         "--nu", "2", "--max-n", max_n)
+        assert rc == 3
+        assert out == ""
 
 
 def test_domain_error_exit_code(capsys):
@@ -203,6 +221,17 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-verb"])
     assert info.value.code == 2
+    # each verb accepts only the flags it reads
+    for argv in (["dims", "--k", "4", "--format", "csv"],
+                 ["diagrams", "--k", "3", "--verify"],
+                 ["graph-dot", "--k", "4", "--n", "2", "--format", "dot"],
+                 ["selftest", "--max-k", "3"],
+                 ["mult", "--k", "4", "--a", "[[1,2],[1',2']]",
+                  "--b", "[[1,2],[1',2']]", "--max-n", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_bad_partition_is_usage_error(capsys):
@@ -218,3 +247,35 @@ def test_determinism(capsys):
     first = run(capsys, "graph-dot", "--k", "5", "--n", "3")
     second = run(capsys, "graph-dot", "--k", "5", "--n", "3")
     assert first == second
+
+
+def _verb_parsers(parser):
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _option_strings(parser):
+    return [s for a in parser._actions for s in a.option_strings
+            if s not in ("-h", "--help")]
+
+
+def test_parser_is_the_verb_table():
+    parsers = _verb_parsers(build_parser())
+    assert list(parsers) == list(VERBS)
+    for verb, (_, flags) in VERBS.items():
+        expected = [f.rstrip("?") for f in flags]
+        assert _option_strings(parsers[verb]) == expected
+        # a request builds its own verb's subparser only, with the same flags
+        [(name, alone)] = _verb_parsers(build_parser(verb)).items()
+        assert name == verb
+        assert _option_strings(alone) == expected
+    assert sum(len(flags) for _, flags in VERBS.values()) == 48
+
+
+def test_top_level_help_lists_every_verb(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    usage = capsys.readouterr().out
+    assert "{" + ",".join(VERBS) + "}" in usage

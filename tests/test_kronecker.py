@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from partalg.errors import ResourceLimitError
 from partalg.kronecker import (check_monotone, class_size, cycle_types,
                                character_degree, first_padded_n,
                                kronecker_coefficient, kronecker_sequence,
@@ -194,3 +195,30 @@ def test_monotone_across_small_triples():
             for nu in shapes:
                 report = check_monotone(lam, mu, nu)
                 assert report.passed, (lam, mu, nu, report.violations)
+
+
+def test_bounded_limits_refuse_before_any_class_sum(monkeypatch):
+    import partalg.kronecker as kron
+    semisimple = kron.first_semisimple_n
+    degrees = []
+
+    def counted(k):
+        degrees.append(k)
+        return semisimple(k)
+
+    def no_class_sum(*args):
+        raise AssertionError("class sum before the refusal")
+
+    monkeypatch.setattr(kron, "first_semisimple_n", counted)
+    monkeypatch.setattr(kron, "padded_kronecker", no_class_sum)
+    with pytest.raises(ResourceLimitError):
+        stable_kronecker((2, 1), (2, 1), (2, 1), max_n=10)   # n0 = 11
+    with pytest.raises(ResourceLimitError):
+        check_monotone((2,), (2,), (2,), max_n=8)            # n0 + 2 = 9
+    with pytest.raises(ResourceLimitError):
+        check_monotone((1,), (1,), (1,), 12, max_n=10)
+    assert degrees == [12, 8, 4]               # n0 computed once per call
+    monkeypatch.setattr(kron, "padded_kronecker", padded_kronecker)
+    assert stable_kronecker((2, 1), (2, 1), (2, 1), max_n=11) == (9, 11)
+    assert check_monotone((2,), (2,), (2,), max_n=9).passed
+    assert degrees == [12, 8, 4, 12, 8]
