@@ -16,27 +16,26 @@ from .diagrams import (AlgebraElement, Diagram, compose, dots_for_level,
                        identity_diagram, parse_diagram, parse_element)
 from .dot import emit_dot
 from .errors import InternalCheckError, ResourceLimitError
-from .geometry import (AlcovePosition, EmbeddedPoint, classify, edge_case,
-                       embed, embedded_path, geometric_residue_equivalent,
-                       is_n_pair, npair_reflection_equiv, reflect,
-                       reflected_vertex, step_residues)
+from .geometry import (AlcovePosition, EmbeddedPoint, classify, embed,
+                       embedded_path, reflect, reflected_vertex)
 from .kronecker import (character_degree, check_monotone, class_size,
                         first_padded_n, kronecker_coefficient,
                         kronecker_sequence, mn_character, pad,
                         padded_kronecker, stable_kronecker)
 from .modules import (BlockChain, block_chain, blocks_at_level,
-                      decomposition_row, first_semisimple_n, is_permissible,
-                      is_semisimple, permissible_paths, radical_dimension,
-                      restrict_cell, restrict_simple, simple_dimension,
-                      simple_dimension_by_alternating_sum,
-                      simple_dimension_by_paths)
+                      decomposition_row, first_semisimple_n, is_semisimple,
+                      permissible_paths, radical_dimension, restrict_cell,
+                      restrict_simple, simple_dimension)
+from .oracles import (brute_force_linkage_classes, edge_case,
+                      geometric_residue_equivalent, is_n_pair,
+                      is_permissible, linkage_classes, npair_reflection_equiv,
+                      run_selftest, simple_dimension_by_alternating_sum,
+                      simple_dimension_by_paths, step_residues)
 from .partitions import (addable_nodes, dominates, format_partition,
                          node_content, parse_partition, partitions_of,
                          partitions_up_to, removable_nodes)
-from .residues import (ContentValue, brute_force_linkage_classes,
-                       content_vector, linkage_classes, residue_equivalent,
+from .residues import (ContentValue, content_vector, residue_equivalent,
                        residue_vector)
-from .selftest import run_selftest
 from .zpoly import ZPoly, parse_zpoly
 
 __version__ = "0.1.0"

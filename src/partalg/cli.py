@@ -23,8 +23,8 @@ from .kronecker import (check_monotone, kronecker_sequence, padded_kronecker,
                         stable_kronecker)
 from .modules import (decomposition_row, permissible_paths, radical_dimension,
                       restrict_cell, restrict_simple, simple_dimension)
+from .oracles import linkage_classes, run_selftest
 from .partitions import format_partition, parse_partition
-from .residues import linkage_classes
 
 
 def _emit(payload) -> None:
@@ -81,6 +81,7 @@ def cmd_dims(args) -> None:
 
 
 def cmd_blocks(args) -> None:
+    guard("level", args.k, "--max-k", args.max_k)
     classes = linkage_classes(args.k, args.n, verify=args.verify,
                               max_level=args.max_k)
     _emit({"k": args.k, "n": args.n, "verified": bool(args.verify),
@@ -131,6 +132,12 @@ def cmd_permissible(args) -> None:
 def cmd_kronecker(args) -> None:
     lam, mu, nu = args.lam, args.mu, args.nu
     if args.n is not None:
+        # --nmax and --format csv shape a sequence; one n has none
+        for flag, given in (("--nmax", args.nmax is not None),
+                            ("--format csv", args.format == "csv")):
+            if given:
+                raise argparse.ArgumentError(
+                    None, f"argument {flag}: not allowed with argument --n")
         guard("n", args.n, "--max-n", args.max_n)
         g, valid = padded_kronecker(lam, mu, nu, args.n)
         _emit({**_triple_json(lam, mu, nu), "n": args.n, "g": g,
@@ -171,7 +178,6 @@ def cmd_graph_dot(args) -> None:
 
 
 def cmd_selftest(args) -> None:
-    from .selftest import run_selftest
     results = run_selftest()
     for r in results:
         print(f"{'ok' if r.ok else 'FAIL'} {r.name}: {r.detail}")
@@ -245,9 +251,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # no verb, --help or an unknown verb: the full parser and its messages
     verb = argv[0] if argv and argv[0] in VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    parser = build_parser(verb)
+    args = parser.parse_args(argv)
     try:
         args.fn(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except ResourceLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -19,7 +19,8 @@ Branching edges move the embedded point by one unit in one coordinate: into
 an even level the step adds epsilon_j, into an odd level it subtracts it.
 The residue of the step is x_j at the target when epsilon_j was added and
 n - 1 - x_j when it was subtracted; the resulting residue sequence matches
-the path's content vector evaluated at z = n.
+the path's content vector evaluated at z = n.  That lemma and the others
+about this picture are checked in oracles.py.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .branching import Path, Vertex, check_path, is_vertex
-from .partitions import Partition, check_partition, row
-
-SAME_ALCOVE = "same_alcove"
-WALL_J = "wall_j"
-WALL_J_MINUS_1 = "wall_j_minus_1"
+from .branching import Path, Vertex, is_vertex
+from .partitions import Partition, row
 
 
 @dataclass(frozen=True)
@@ -133,153 +130,5 @@ def reflected_vertex(v: Vertex, n: int, j: int) -> Vertex | None:
     return vertex_from_coords(reflect(embed(v, n), j), v.level, n)
 
 
-def _reflected_coord(x: EmbeddedPoint, j: int, i: int) -> int:
-    """Coordinate i of s_{0,j}(x)."""
-    if i == 0:
-        return x.coord(j)
-    if i == j:
-        return x.coord(0)
-    return x.coord(i)
-
-
-def reflection_equal(x: EmbeddedPoint, y: EmbeddedPoint, j: int) -> bool:
-    """True when y = s_{0,j}(x)."""
-    upto = max(x.extent, y.extent, j) + 1
-    return all(_reflected_coord(x, j, i) == y.coord(i) for i in range(upto + 1))
-
-
-def points_equal(x: EmbeddedPoint, y: EmbeddedPoint) -> bool:
-    upto = max(x.extent, y.extent)
-    return x.coords(upto) == y.coords(upto)
-
-
-def reflection_index(v: Vertex, w: Vertex, n: int) -> int | None:
-    """The j with phi_n(w) = s_{0,j}(phi_n(v)), if one exists."""
-    if v.level != w.level:
-        raise ValueError("vertices on different levels")
-    x, y = embed(v, n), embed(w, n)
-    for j in range(1, max(x.extent, y.extent) + 2):
-        if reflection_equal(x, y, j):
-            return j
-    return None
-
-
-def npair_reflection_equiv(v: Vertex, w: Vertex, n: int) -> bool:
-    """True when the embedded points differ by a head-row swap s_{0,j}."""
-    return reflection_index(v, w, n) is not None
-
-
-def is_n_pair(lam: Partition, mu: Partition, n: int) -> bool:
-    """True when mu is lam plus one horizontal strip whose last node has
-    content n - |lam|."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    if n < 0:
-        raise ValueError("parameter n must be a nonnegative integer")
-    if lam == mu:
-        return False
-    rows = max(len(lam), len(mu))
-    diff_rows = [i for i in range(1, rows + 1) if row(lam, i) != row(mu, i)]
-    if len(diff_rows) != 1:
-        return False
-    i = diff_rows[0]
-    if row(mu, i) < row(lam, i):
-        return False
-    last = (i, row(mu, i))
-    return last[1] - last[0] == n - sum(lam)
-
-
-class EdgeCase(NamedTuple):
-    """Diagnosis of a branching edge seen from an alcove-j target."""
-
-    case: str            # SAME_ALCOVE, WALL_J or WALL_J_MINUS_1
-    delta: int           # +1 or -1: the source is target -/+ nothing, i.e.
-    coordinate: int      # source = target + delta * epsilon_coordinate
-
-
-def _step(x: EmbeddedPoint, y: EmbeddedPoint) -> tuple[int, int]:
-    """Return (delta, i) with y = x + delta*epsilon_i, else raise."""
-    upto = max(x.extent, y.extent) + 1
-    diffs = [(i, y.coord(i) - x.coord(i))
-             for i in range(upto + 1) if y.coord(i) != x.coord(i)]
-    if len(diffs) != 1 or abs(diffs[0][1]) != 1:
-        raise ValueError("points do not differ by a single unit step")
-    i, delta = diffs[0]
-    return delta, i
-
-
-def edge_case(x: EmbeddedPoint, y: EmbeddedPoint) -> EdgeCase:
-    """Classify the source y of an edge y -> x whose target lies in an alcove.
-
-    The source sits in the same alcove, on the wall bounding it with the
-    previous alcove, or on the wall bounding it with the next one; no other
-    position occurs.
-    """
-    kind, j = classify(x)
-    if kind != "alcove":
-        raise ValueError("edge classification needs an alcove target")
-    if y.level != x.level - 1 or y.n != x.n:
-        raise ValueError("not a branching edge")
-    delta, i = _step(x, y)
-    pos = classify(y)
-    if pos == ("alcove", j):
-        return EdgeCase(SAME_ALCOVE, delta, i)
-    if pos == ("wall", j):
-        return EdgeCase(WALL_J, delta, i)
-    if j > 1 and pos == ("wall", j - 1):
-        return EdgeCase(WALL_J_MINUS_1, delta, i)
-    raise ValueError(f"edge source at {pos} breaks the alcove-{j} trichotomy")
-
-
 def embedded_path(t: Path, n: int) -> list[EmbeddedPoint]:
     return [embed(Vertex(shape, i), n) for i, shape in enumerate(t)]
-
-
-def step_residues(t: Path, n: int) -> tuple[int, ...]:
-    """Residue of each step of the path, read off the embedded points.
-
-    A step into an even level adds epsilon_j and contributes the new x_j; a
-    step into an odd level subtracts epsilon_j and contributes n - 1 - x_j.
-    """
-    pts = embedded_path(check_path(t), n)
-    out = []
-    for i in range(1, len(pts)):
-        delta, j = _step(pts[i - 1], pts[i])
-        xj = pts[i].coord(j)
-        out.append(xj if delta == 1 else n - 1 - xj)
-    return tuple(out)
-
-
-def geometric_residue_equivalent(s: Path, t: Path, n: int) -> bool:
-    """Decide residue equality of two same-length paths by alcove geometry.
-
-    The paths must agree outside disagreement runs; each run is governed by a
-    single wall j: it opens after an agreement point on wall j, the two paths
-    are point-by-point head-row swaps s_{0,j} of each other inside (hence sit
-    in alcoves j and j+1 in some order), and if the run closes before the top
-    level the closing agreement point lies on wall j again.
-    """
-    s, t = check_path(s), check_path(t)
-    if len(s) != len(t):
-        raise ValueError("paths of different lengths")
-    xs = embedded_path(s, n)
-    ys = embedded_path(t, n)
-    top = len(s) - 1
-    i = 1
-    while i <= top:
-        if s[i] == t[i]:
-            i += 1
-            continue
-        a = i - 1  # s and t agree here (level 0 and 1 always agree)
-        pos = classify(xs[a])
-        if pos.kind != "wall":
-            return False
-        j = pos.index
-        while i <= top and s[i] != t[i]:
-            if not reflection_equal(xs[i], ys[i], j):
-                return False
-            i += 1
-        if i < top:
-            # closing agreement point, interior to the pair of paths
-            if classify(xs[i]) != ("wall", j):
-                return False
-    return True

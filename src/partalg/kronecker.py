@@ -37,10 +37,6 @@ def class_size(mu: Partition) -> int:
     return factorial(n) // z
 
 
-def cycle_types(n: int) -> list[Partition]:
-    return list(partitions_of(n))
-
-
 def _strip_removals(shape: Partition, size: int):
     """Ways to remove a border strip of the given size: (new shape, height).
 

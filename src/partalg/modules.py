@@ -16,13 +16,13 @@ branch appears only where a closed formula is used.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
-from .branching import (Path, Vertex, cell_dimension, check_path,
-                        enumerate_paths, parents, vertices_at_level)
-from .errors import DEFAULT_MAX_LEVEL
-from .geometry import AlcovePosition, classify, embed, embedded_path, reflected_vertex
+from .branching import (Path, Vertex, cell_dimension, enumerate_paths,
+                        parents, vertices_at_level)
+from .errors import DEFAULT_MAX_LEVEL, guard
+from .geometry import AlcovePosition, classify, embed, reflected_vertex
 
 
 class BlockChain(NamedTuple):
@@ -96,32 +96,6 @@ def decomposition_row(v: Vertex, n: int) -> DecompositionRow:
     return DecompositionRow(v, tuple(factors))
 
 
-def is_permissible(t: Path, n: int) -> bool:
-    """Paths that survive at parameter n.
-
-    Wall endpoint: always.  Alcove-1 endpoint: every point of the path must
-    sit in alcove 1.  Alcove-j endpoint, j >= 2: the last point outside
-    alcove j must sit on wall j-1 (a last such point exists, the start of
-    the path is in alcove 1).
-    """
-    pts = embedded_path(check_path(t), n)
-    pos = classify(pts[-1])
-    if pos.kind == "wall":
-        return True
-    j = pos.index
-    if j == 1:
-        return all(classify(p) == ("alcove", 1) for p in pts)
-    for p in reversed(pts):
-        if classify(p) != ("alcove", j):
-            return classify(p) == ("wall", j - 1)
-    raise AssertionError("path start cannot lie in an alcove j >= 2")
-
-
-def permissible_paths(v: Vertex, n: int,
-                      max_level: int = DEFAULT_MAX_LEVEL) -> list[Path]:
-    return [t for t in enumerate_paths(v, max_level) if is_permissible(t, n)]
-
-
 def _position(v: Vertex, n: int) -> AlcovePosition:
     return classify(embed(v, n))
 
@@ -152,23 +126,25 @@ def simple_dimension(v: Vertex, n: int) -> int:
     return _simple_dimension(v.shape, v.level, n)
 
 
-def simple_dimension_by_paths(v: Vertex, n: int,
-                              max_level: int = DEFAULT_MAX_LEVEL) -> int:
-    """Same number, counted as permissible paths."""
-    return len(permissible_paths(v, n, max_level))
+def permissible_paths(v: Vertex, n: int,
+                      max_level: int = DEFAULT_MAX_LEVEL) -> list[Path]:
+    """Paths to v that survive at parameter n, in descending path order.
 
+    The restriction recursion of simple_dimension, walked path by path:
+    every path to a wall vertex (or to level 0) survives, and an alcove
+    vertex extends the surviving paths of its simple parents.
+    """
+    guard("path enumeration level", v.level, "max_level", max_level)
 
-def simple_dimension_by_alternating_sum(v: Vertex, n: int) -> int:
-    """Same number, telescoped down the block chain from v:
-    dim L = dim Cell(v) - dim Cell(next) + dim Cell(after next) - ..."""
-    if _vanishes(v, n):
-        return 0
-    bc = block_chain(v, n)
-    idx = bc.chain.index(v)
-    total = 0
-    for step, w in enumerate(bc.chain[idx:]):
-        total += (-1) ** step * cell_dimension(w)
-    return total
+    @cache
+    def rec(u: Vertex) -> tuple[Path, ...]:
+        pos = _position(u, n)
+        if u.level == 0 or pos.kind == "wall":
+            return tuple(enumerate_paths(u, max_level))
+        return tuple(p + (u.shape,)
+                     for w in _simple_parents(u, n, pos.index) for p in rec(w))
+
+    return list(rec(v))
 
 
 def radical_dimension(v: Vertex, n: int) -> int:

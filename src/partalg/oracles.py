@@ -1,0 +1,343 @@
+"""Independent routes, and the selftest checks that hold production to them.
+
+Each quantity has one production route elsewhere in the package; no
+production module imports this one.  Kept here: the path-level definition
+of permissibility, two more simple-dimension counts, linkage as the closure
+of shared residue vectors, and the lemmas of the alcove geometry.  The
+checks compare these with production on small exhaustive ranges; the CLI
+selftest verb runs them all and the test suite reuses them.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate, combinations
+from typing import Callable, NamedTuple
+
+from .branching import (Path, Vertex, cell_dimension, check_path,
+                        enumerate_paths, vertices_at_level)
+from .errors import DEFAULT_MAX_LEVEL, InternalCheckError
+from .geometry import EmbeddedPoint, classify, embed, embedded_path, reflect
+from .modules import _vanishes, block_chain, blocks_at_level, simple_dimension
+from .partitions import Partition, check_partition, row
+from .residues import residue_vector
+
+SAME_ALCOVE = "same_alcove"
+WALL_J = "wall_j"
+WALL_J_MINUS_1 = "wall_j_minus_1"
+
+
+# --- alcove geometry ---------------------------------------------------------
+
+def reflection_equal(x: EmbeddedPoint, y: EmbeddedPoint, j: int) -> bool:
+    """True when y = s_{0,j}(x)."""
+    sx = reflect(x, j)  # beyond this prefix, and beyond y's, coordinates are -i
+    upto = max(len(sx) - 1, y.extent)
+    return sx + tuple(-i for i in range(len(sx), upto + 1)) == y.coords(upto)
+
+
+def points_equal(x: EmbeddedPoint, y: EmbeddedPoint) -> bool:
+    upto = max(x.extent, y.extent)
+    return x.coords(upto) == y.coords(upto)
+
+
+def reflection_index(v: Vertex, w: Vertex, n: int) -> int | None:
+    """The j with phi_n(w) = s_{0,j}(phi_n(v)), if one exists."""
+    if v.level != w.level:
+        raise ValueError("vertices on different levels")
+    x, y = embed(v, n), embed(w, n)
+    for j in range(1, max(x.extent, y.extent) + 2):
+        if reflection_equal(x, y, j):
+            return j
+    return None
+
+
+def npair_reflection_equiv(v: Vertex, w: Vertex, n: int) -> bool:
+    """True when the embedded points differ by a head-row swap s_{0,j}."""
+    return reflection_index(v, w, n) is not None
+
+
+def is_n_pair(lam: Partition, mu: Partition, n: int) -> bool:
+    """True when mu is lam plus one horizontal strip whose last node has
+    content n - |lam|."""
+    lam, mu = check_partition(lam), check_partition(mu)
+    if n < 0:
+        raise ValueError("parameter n must be a nonnegative integer")
+    if lam == mu:
+        return False
+    rows = max(len(lam), len(mu))
+    diff_rows = [i for i in range(1, rows + 1) if row(lam, i) != row(mu, i)]
+    if len(diff_rows) != 1:
+        return False
+    i = diff_rows[0]
+    if row(mu, i) < row(lam, i):
+        return False
+    return row(mu, i) - i == n - sum(lam)
+
+
+class EdgeCase(NamedTuple):
+    """Diagnosis of a branching edge seen from an alcove-j target."""
+
+    case: str            # SAME_ALCOVE, WALL_J or WALL_J_MINUS_1
+    delta: int           # +1 or -1: the source is target -/+ nothing, i.e.
+    coordinate: int      # source = target + delta * epsilon_coordinate
+
+
+def _step(x: EmbeddedPoint, y: EmbeddedPoint) -> tuple[int, int]:
+    """Return (delta, i) with y = x + delta*epsilon_i, else raise."""
+    upto = max(x.extent, y.extent) + 1
+    diffs = [(i, y.coord(i) - x.coord(i))
+             for i in range(upto + 1) if y.coord(i) != x.coord(i)]
+    if len(diffs) != 1 or abs(diffs[0][1]) != 1:
+        raise ValueError("points do not differ by a single unit step")
+    i, delta = diffs[0]
+    return delta, i
+
+
+def edge_case(x: EmbeddedPoint, y: EmbeddedPoint) -> EdgeCase:
+    """Classify the source y of an edge y -> x whose target lies in an alcove.
+
+    The source sits in the same alcove, on the wall bounding it with the
+    previous alcove, or on the wall bounding it with the next one; no other
+    position occurs.
+    """
+    kind, j = classify(x)
+    if kind != "alcove":
+        raise ValueError("edge classification needs an alcove target")
+    if y.level != x.level - 1 or y.n != x.n:
+        raise ValueError("not a branching edge")
+    delta, i = _step(x, y)
+    pos = classify(y)
+    if pos == ("alcove", j):
+        return EdgeCase(SAME_ALCOVE, delta, i)
+    if pos == ("wall", j):
+        return EdgeCase(WALL_J, delta, i)
+    if j > 1 and pos == ("wall", j - 1):
+        return EdgeCase(WALL_J_MINUS_1, delta, i)
+    raise ValueError(f"edge source at {pos} breaks the alcove-{j} trichotomy")
+
+
+def step_residues(t: Path, n: int) -> tuple[int, ...]:
+    """Residue of each step of the path, read off the embedded points.
+
+    A step into an even level adds epsilon_j and contributes the new x_j; a
+    step into an odd level subtracts epsilon_j and contributes n - 1 - x_j.
+    """
+    pts = embedded_path(check_path(t), n)
+    out = []
+    for i in range(1, len(pts)):
+        delta, j = _step(pts[i - 1], pts[i])
+        xj = pts[i].coord(j)
+        out.append(xj if delta == 1 else n - 1 - xj)
+    return tuple(out)
+
+
+def geometric_residue_equivalent(s: Path, t: Path, n: int) -> bool:
+    """Decide residue equality of two same-length paths by alcove geometry.
+
+    The paths must agree outside disagreement runs; each run is governed by a
+    single wall j: it opens after an agreement point on wall j, the two paths
+    are point-by-point head-row swaps s_{0,j} of each other inside (hence sit
+    in alcoves j and j+1 in some order), and if the run closes before the top
+    level the closing agreement point lies on wall j again.
+    """
+    s, t = check_path(s), check_path(t)
+    if len(s) != len(t):
+        raise ValueError("paths of different lengths")
+    xs = embedded_path(s, n)
+    ys = embedded_path(t, n)
+    top = len(s) - 1
+    i = 1
+    while i <= top:
+        if s[i] == t[i]:
+            i += 1
+            continue
+        a = i - 1  # s and t agree here (level 0 and 1 always agree)
+        pos = classify(xs[a])
+        if pos.kind != "wall":
+            return False
+        j = pos.index
+        while i <= top and s[i] != t[i]:
+            if not reflection_equal(xs[i], ys[i], j):
+                return False
+            i += 1
+        if i < top:
+            # closing agreement point, interior to the pair of paths
+            if classify(xs[i]) != ("wall", j):
+                return False
+    return True
+
+
+# --- simple modules ----------------------------------------------------------
+
+def is_permissible(t: Path, n: int) -> bool:
+    """Paths that survive at parameter n.
+
+    Wall endpoint: always.  Alcove-1 endpoint: every point of the path must
+    sit in alcove 1.  Alcove-j endpoint, j >= 2: the last point outside
+    alcove j must sit on wall j-1 (a last such point exists, the start of
+    the path is in alcove 1).
+    """
+    pts = embedded_path(check_path(t), n)
+    pos = classify(pts[-1])
+    if pos.kind == "wall":
+        return True
+    j = pos.index
+    if j == 1:
+        return all(classify(p) == ("alcove", 1) for p in pts)
+    for p in reversed(pts):
+        if classify(p) != ("alcove", j):
+            return classify(p) == ("wall", j - 1)
+    raise AssertionError("path start cannot lie in an alcove j >= 2")
+
+
+def simple_dimension_by_paths(v: Vertex, n: int,
+                              max_level: int = DEFAULT_MAX_LEVEL) -> int:
+    """Dimension of the simple module of v, counted as the paths to v that
+    pass is_permissible."""
+    return sum(is_permissible(t, n) for t in enumerate_paths(v, max_level))
+
+
+def simple_dimension_by_alternating_sum(v: Vertex, n: int) -> int:
+    """Same number, telescoped down the block chain from v:
+    dim L = dim Cell(v) - dim Cell(next) + dim Cell(after next) - ..."""
+    if _vanishes(v, n):
+        return 0
+    chain = block_chain(v, n).chain
+    return sum((-1) ** step * cell_dimension(w)
+               for step, w in enumerate(chain[chain.index(v):]))
+
+
+# --- linkage -----------------------------------------------------------------
+
+def linkage_classes(k: int, n: int, verify: bool = False,
+                    max_level: int = DEFAULT_MAX_LEVEL) -> list[tuple[Vertex, ...]]:
+    """Partition of the level-k vertices into linkage classes.
+
+    These are the block chains (blocks_at_level).  With verify=True the
+    classes are recomputed from raw residue vectors (shared vector joins two
+    vertices, transitive closure) and a mismatch raises InternalCheckError.
+    """
+    classes = blocks_at_level(k, n)
+    if verify:
+        brute = brute_force_linkage_classes(k, n, max_level)
+        if {frozenset(c) for c in classes} != {frozenset(c) for c in brute}:
+            raise InternalCheckError(
+                f"linkage mismatch at level {k}, n={n}: "
+                f"chains {classes} vs residue closure {brute}")
+    return classes
+
+
+def brute_force_linkage_classes(k: int, n: int,
+                                max_level: int = DEFAULT_MAX_LEVEL
+                                ) -> list[tuple[Vertex, ...]]:
+    """Union-find closure of "some paths share a residue vector"."""
+    verts = vertices_at_level(k)
+    index = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    owner: dict[tuple[int, ...], int] = {}
+    for v in verts:
+        for t in enumerate_paths(v, max_level):
+            r = owner.setdefault(residue_vector(t, n), index[v])
+            parent[find(r)] = find(index[v])
+    groups: dict[int, list[Vertex]] = {}
+    for v in verts:
+        groups.setdefault(find(index[v]), []).append(v)
+    return [tuple(g) for g in groups.values()]
+
+
+# --- selftest ----------------------------------------------------------------
+
+class CheckResult(NamedTuple):
+    name: str
+    ok: bool
+    detail: str
+
+
+def check_step_residues(max_k: int = 7, max_n: int = 4) -> CheckResult:
+    """Geometric step residues must equal content vectors at z = n."""
+    count = 0
+    for k in range(max_k + 1):
+        for v in vertices_at_level(k):
+            for t in enumerate_paths(v):
+                for n in range(max_n + 1):
+                    count += 1
+                    if step_residues(t, n) != residue_vector(t, n):
+                        return CheckResult(
+                            "step_residues", False,
+                            f"mismatch at path {t}, n={n}")
+    return CheckResult("step_residues", True, f"{count} path/parameter pairs")
+
+
+def check_geometric_equivalence(max_k: int = 6, max_n: int = 4) -> CheckResult:
+    """Wall-interval test must match raw residue-vector equality."""
+    count = 0
+    for k in range(max_k + 1):
+        paths = [t for v in vertices_at_level(k) for t in enumerate_paths(v)]
+        for n in range(max_n + 1):
+            vectors = {t: residue_vector(t, n) for t in paths}
+            for s, t in combinations(paths, 2):
+                count += 1
+                if geometric_residue_equivalent(s, t, n) != (vectors[s] == vectors[t]):
+                    return CheckResult(
+                        "geometric_equivalence", False,
+                        f"k={k}, n={n}: {s} vs {t}")
+    return CheckResult("geometric_equivalence", True, f"{count} path pairs")
+
+
+def check_linkage(max_k: int = 7, max_n: int = 4) -> CheckResult:
+    """Block chains must reproduce the residue-vector linkage closure."""
+    for k in range(max_k + 1):
+        for n in range(max_n + 1):
+            try:
+                linkage_classes(k, n, verify=True)
+            except InternalCheckError as exc:
+                return CheckResult("linkage", False, str(exc))
+    return CheckResult("linkage", True,
+                       f"levels 0..{max_k}, n 0..{max_n}")
+
+
+def check_simple_dimensions(max_k: int = 8, max_n: int = 6) -> CheckResult:
+    """The three simple-dimension algorithms must agree everywhere."""
+    count = 0
+    for k in range(max_k + 1):
+        for v in vertices_at_level(k):
+            for n in range(max_n + 1):
+                count += 1
+                a = simple_dimension_by_paths(v, n)
+                b = simple_dimension(v, n)
+                c = simple_dimension_by_alternating_sum(v, n)
+                if not a == b == c:
+                    return CheckResult(
+                        "simple_dimensions", False,
+                        f"{v} at n={n}: paths {a}, restriction {b}, "
+                        f"alternating {c}")
+    return CheckResult("simple_dimensions", True, f"{count} vertex/parameter pairs")
+
+
+def check_bell_identity(max_k: int = 10) -> CheckResult:
+    """Sum of squared cell dimensions at level k is the k-th Bell number."""
+    bell, triangle_row = [1], [1]   # Bell triangle
+    for _ in range(max_k):
+        triangle_row = list(accumulate(triangle_row, initial=triangle_row[-1]))
+        bell.append(triangle_row[0])
+    for k in range(max_k + 1):
+        total = sum(cell_dimension(v) ** 2 for v in vertices_at_level(k))
+        if total != bell[k]:
+            return CheckResult("bell_identity", False,
+                               f"level {k}: {total} != {bell[k]}")
+    return CheckResult("bell_identity", True, f"levels 0..{max_k}")
+
+
+ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
+    check_step_residues, check_geometric_equivalence, check_linkage,
+    check_simple_dimensions, check_bell_identity)
+
+
+def run_selftest() -> list[CheckResult]:
+    return [check() for check in ALL_CHECKS]

@@ -137,7 +137,3 @@ def partitions_up_to(size: int) -> Iterator[Partition]:
     for s in range(size + 1):
         yield from partitions_of(s)
 
-
-def sort_key(lam: Partition) -> tuple:
-    """Sort key matching the enumeration order of partitions_up_to."""
-    return (sum(lam), tuple(-p for p in lam))

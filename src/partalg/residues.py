@@ -10,18 +10,15 @@ Each step of a path carries a content value, a linear polynomial in z:
 Evaluating at z = n gives the residue vector.  Two paths are residue
 equivalent at n when the vectors agree; two vertices are linked when some
 residue vector is shared between their path sets, closed transitively.  The
-production route computes linkage classes as block chains; the brute-force
-route enumerates all residue vectors and is kept behind a verification flag.
+linkage classes are the block chains of modules.py; the closure over raw
+residue vectors is kept in oracles.py as their independent check.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .branching import (Path, Vertex, check_path, enumerate_paths,
-                        vertices_at_level)
-from .errors import DEFAULT_MAX_LEVEL, InternalCheckError
-from .modules import blocks_at_level
+from .branching import Path, check_path
 from .partitions import node_content
 from .zpoly import ZPoly
 
@@ -86,54 +83,3 @@ def residue_equivalent(s: Path, t: Path, n: int) -> bool:
     if len(s) != len(t):
         raise ValueError("paths of different lengths")
     return residue_vector(s, n) == residue_vector(t, n)
-
-
-def linkage_classes(k: int, n: int, verify: bool = False,
-                    max_level: int = DEFAULT_MAX_LEVEL) -> list[tuple[Vertex, ...]]:
-    """Partition of the level-k vertices into linkage classes.
-
-    Production route: block chains.  With verify=True the classes are
-    recomputed from raw residue vectors (shared vector joins two vertices,
-    transitive closure) and a mismatch raises InternalCheckError.
-    """
-    classes = blocks_at_level(k, n)
-    if verify:
-        brute = brute_force_linkage_classes(k, n, max_level)
-        if {frozenset(c) for c in classes} != {frozenset(c) for c in brute}:
-            raise InternalCheckError(
-                f"linkage mismatch at level {k}, n={n}: "
-                f"chains {classes} vs residue closure {brute}")
-    return classes
-
-
-def brute_force_linkage_classes(k: int, n: int,
-                                max_level: int = DEFAULT_MAX_LEVEL
-                                ) -> list[tuple[Vertex, ...]]:
-    """Union-find closure of "some paths share a residue vector"."""
-    verts = vertices_at_level(k)
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    owner: dict[tuple[int, ...], int] = {}
-    for v in verts:
-        for t in enumerate_paths(v, max_level):
-            r = residue_vector(t, n)
-            if r in owner:
-                union(owner[r], index[v])
-            else:
-                owner[r] = index[v]
-    groups: dict[int, list[Vertex]] = {}
-    for v in verts:
-        groups.setdefault(find(index[v]), []).append(v)
-    return [tuple(g) for g in groups.values()]

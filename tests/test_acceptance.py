@@ -15,14 +15,15 @@ from partalg.diagrams import AlgebraElement, enumerate_diagrams, parse_element
 from partalg.kronecker import (check_monotone, class_size,
                                kronecker_coefficient, kronecker_sequence,
                                mn_character, stable_kronecker)
-from partalg.modules import (decomposition_row, is_permissible,
-                             simple_dimension, simple_dimension_by_paths,
-                             simple_dimension_by_alternating_sum,
+from partalg.modules import (decomposition_row, simple_dimension,
                              _simple_dimension)
+from partalg.oracles import (brute_force_linkage_classes,
+                             geometric_residue_equivalent, is_permissible,
+                             linkage_classes, simple_dimension_by_paths,
+                             simple_dimension_by_alternating_sum,
+                             step_residues)
 from partalg.partitions import partitions_of, partitions_up_to
-from partalg.residues import (brute_force_linkage_classes, content_vector,
-                              linkage_classes, residue_vector)
-from partalg.geometry import geometric_residue_equivalent, step_residues
+from partalg.residues import content_vector, residue_vector
 from partalg.zpoly import ZPoly
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]

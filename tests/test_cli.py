@@ -205,6 +205,12 @@ def test_resource_refusals(capsys):
                          "--nu", "2", "--max-n", max_n)
         assert rc == 3
         assert out == ""
+    # blocks refuses a level above --max-k without --verify too
+    rc, out, err = run(capsys, "blocks", "--k", "20", "--n", "3",
+                       "--max-k", "5")
+    assert rc == 3
+    assert out == ""
+    assert "refused" in err
 
 
 def test_domain_error_exit_code(capsys):
@@ -232,6 +238,15 @@ def test_usage_error_exit_code(capsys):
             main(argv)
         assert info.value.code == 2
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    # a single kronecker --n has no sequence for --nmax or --format csv
+    for flag, argv in (("--nmax", ["--nmax", "99"]),
+                       ("--format csv", ["--format", "csv"])):
+        with pytest.raises(SystemExit) as info:
+            main(["kronecker", "--lambda", "1", "--mu", "1", "--nu", "1",
+                  "--n", "3", *argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not allowed with argument --n" in err
 
 
 def test_bad_partition_is_usage_error(capsys):

@@ -11,11 +11,12 @@ from itertools import combinations
 import pytest
 
 from partalg.branching import Vertex, enumerate_paths, is_edge, parents, vertices_at_level
-from partalg.geometry import (SAME_ALCOVE, WALL_J, WALL_J_MINUS_1, classify,
-                              edge_case, embed, geometric_residue_equivalent,
-                              is_n_pair, npair_reflection_equiv, points_equal,
-                              reflect, reflected_vertex, reflection_index,
-                              step_residues, vertex_from_coords)
+from partalg.geometry import (classify, embed, reflect, reflected_vertex,
+                              vertex_from_coords)
+from partalg.oracles import (SAME_ALCOVE, WALL_J, WALL_J_MINUS_1, edge_case,
+                             geometric_residue_equivalent, is_n_pair,
+                             npair_reflection_equiv, points_equal,
+                             reflection_index, step_residues)
 from partalg.partitions import partitions_up_to
 from partalg.residues import residue_vector
 

@@ -6,9 +6,10 @@ import pytest
 from partalg.branching import Vertex, cell_dimension, vertices_at_level
 from partalg.geometry import classify, embed
 from partalg.modules import (block_chain, blocks_at_level, decomposition_row,
-                             first_semisimple_n, is_permissible, is_semisimple,
+                             first_semisimple_n, is_semisimple,
                              permissible_paths, radical_dimension,
-                             restrict_cell, restrict_simple, simple_dimension,
+                             restrict_cell, restrict_simple, simple_dimension)
+from partalg.oracles import (is_permissible,
                              simple_dimension_by_alternating_sum,
                              simple_dimension_by_paths)
 

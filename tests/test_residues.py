@@ -3,8 +3,8 @@
 import pytest
 
 from partalg.branching import enumerate_paths, vertices_at_level
-from partalg.residues import (ContentValue, brute_force_linkage_classes,
-                              content_vector, linkage_classes,
+from partalg.oracles import brute_force_linkage_classes, linkage_classes
+from partalg.residues import (ContentValue, content_vector,
                               residue_equivalent, residue_vector)
 
 T = ((), (), (1,), (1,), (1,), (), ())
