@@ -1,16 +1,28 @@
 """Symmetric group characters and Kronecker coefficients, exactly.
 
-Characters come from the border-strip recursion: peel the largest cycle off
-the cycle type, sum over removable border strips of that size with sign
-(-1)^height.  Kronecker coefficients then come from class-sum orthogonality,
+Characters come from the Murnaghan-Nakayama recursion on beta-numbers.  A
+shape of length l is held as its first-column hook lengths
+shape_i + (l - 1 - i), a strictly decreasing tuple.  Peel the largest cycle,
+of length r, off the cycle type: removing a border strip of length r moves
+one beta-number down by r onto a free value, the strip's height is the
+number of beta-numbers it jumps, and the character is the sum over such
+moves of (-1)^height times the character of the rest.  The memoised
+recursion (_character) neither validates nor sorts; mn_character is its
+public entry, which validates shape and cycle type once per pair.  Kronecker
+coefficients come from class-sum orthogonality,
 
     g(a, b, c) = (1/n!) * sum over cycle types of size * X^a * X^b * X^c,
 
-which is exact in integers (the division is checked).  The stable regime:
-pad a partition lam to lam_[n] = (n - |lam|, lam), valid when n - |lam| >=
-lam_1; g_n = g(lam_[n], mu_[n], nu_[n]) is weakly increasing in n and becomes
-constant once the diagram algebra of degree 2(|lam| + |mu|) is semisimple at
-n and all three paddings are valid.
+which is exact in integers (the division is checked).  The sum validates
+a, b, c once, enters the recursion directly for every class, and skips a
+class as soon as X^a, then X^b, is zero there.  The
+shape-based strip-removal recursion lives on in oracles.py as the oracle
+these are tested against.
+
+The stable regime: pad a partition lam to lam_[n] = (n - |lam|, lam), valid
+when n - |lam| >= lam_1; g_n = g(lam_[n], mu_[n], nu_[n]) is weakly
+increasing in n and becomes constant once the diagram algebra of degree
+2(|lam| + |mu|) is semisimple at n and all three paddings are valid.
 """
 
 from __future__ import annotations
@@ -37,24 +49,34 @@ def class_size(mu: Partition) -> int:
     return factorial(n) // z
 
 
-def _strip_removals(shape: Partition, size: int):
-    """Ways to remove a border strip of the given size: (new shape, height).
-
-    Worked on first-column hook coordinates: rows become the distinct numbers
-    shape_i + (l - i); removing a strip of length `size` moves one of them
-    down by `size` onto an unoccupied value.
-    """
+def _betas(shape: Partition) -> tuple[int, ...]:
+    """First-column hook lengths shape_i + (l - 1 - i), strictly decreasing."""
     l = len(shape)
-    betas = [shape[i] + l - 1 - i for i in range(l)]
-    occupied = set(betas)
-    for b in betas:
-        nb = b - size
-        if nb < 0 or nb in occupied:
+    return tuple(p + l - 1 - i for i, p in enumerate(shape))
+
+
+@cache
+def _character(betas: tuple[int, ...], cycle: Partition) -> int:
+    """Character at a cycle type of the shape with these beta-numbers
+    (strictly decreasing, of the cycle type's size); nothing is checked."""
+    if not cycle:
+        return 1
+    r, rest = cycle[0], cycle[1:]
+    l = len(betas)
+    total = 0
+    for i, b in enumerate(betas):
+        nb = b - r
+        if nb < 0:
+            break
+        j = i + 1
+        while j < l and betas[j] > nb:
+            j += 1
+        if j < l and betas[j] == nb:
             continue
-        height = sum(1 for c in betas if nb < c < b)
-        new = sorted((c if c != b else nb for c in betas), reverse=True)
-        parts = tuple(c - (l - 1 - i) for i, c in enumerate(new))
-        yield tuple(p for p in parts if p), height
+        height = j - i - 1
+        value = _character(betas[:i] + betas[i + 1:j] + (nb,) + betas[j:], rest)
+        total += -value if height % 2 else value
+    return total
 
 
 @cache
@@ -63,12 +85,7 @@ def mn_character(shape: Partition, cycle: Partition) -> int:
     shape, cycle = check_partition(shape), check_partition(cycle)
     if sum(shape) != sum(cycle):
         raise ValueError("shape and cycle type of different sizes")
-    if not shape:
-        return 1
-    total = 0
-    for smaller, height in _strip_removals(shape, cycle[0]):
-        total += (-1) ** height * mn_character(smaller, cycle[1:])
-    return total
+    return _character(_betas(shape), cycle)
 
 
 def character_degree(shape: Partition) -> int:
@@ -104,10 +121,14 @@ def kronecker_coefficient(a: Partition, b: Partition, c: Partition) -> int:
     n = sum(a)
     if sum(b) != n or sum(c) != n:
         raise ValueError("all three partitions must have the same size")
+    ba, bb, bc = _betas(a), _betas(b), _betas(c)
     total = 0
     for mu in partitions_of(n):
-        total += (class_size(mu) * mn_character(a, mu)
-                  * mn_character(b, mu) * mn_character(c, mu))
+        xa = _character(ba, mu)
+        if xa:
+            xb = _character(bb, mu)
+            if xb:
+                total += class_size(mu) * xa * xb * _character(bc, mu)
     g, rem = divmod(total, factorial(n))
     if rem:
         raise AssertionError(f"non-integral coefficient for {a}, {b}, {c}")

@@ -190,10 +190,10 @@ def blocks_at_level(k: int, n: int) -> list[tuple[Vertex, ...]]:
 
 def is_semisimple(k: int, n: int) -> bool:
     """True when every level-k cell module is simple and alone in its block,
-    i.e. every block chain is a singleton."""
+    i.e. every block chain is a singleton; stops at the first that is not."""
     if n < 0:
         raise ValueError("parameter n must be a nonnegative integer")
-    return all(len(chain) == 1 for chain in blocks_at_level(k, n))
+    return all(len(block_chain(v, n).chain) == 1 for v in vertices_at_level(k))
 
 
 def first_semisimple_n(k: int) -> int:

@@ -5,18 +5,24 @@ production module imports this one.  Kept here: the path-level definition
 of permissibility, two more simple-dimension counts, linkage as the closure
 of shared residue vectors, and the lemmas of the alcove geometry.  The
 checks compare these with production on small exhaustive ranges; the CLI
-selftest verb runs them all and the test suite reuses them.
+selftest verb runs them all and the test suite reuses them.  Also kept: the
+recursive enumeration of partitions and the shape-based border-strip
+recursion for characters with the class sum built on it, which the test
+suite holds the production routes of partitions.py and kronecker.py to.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate, combinations
-from typing import Callable, NamedTuple
+from math import factorial
+from typing import Callable, Iterator, NamedTuple
 
 from .branching import (Path, Vertex, cell_dimension, check_path,
                         enumerate_paths, vertices_at_level)
 from .errors import DEFAULT_MAX_LEVEL, InternalCheckError
 from .geometry import EmbeddedPoint, classify, embed, embedded_path, reflect
+from .kronecker import class_size
 from .modules import _vanishes, block_chain, blocks_at_level, simple_dimension
 from .partitions import Partition, check_partition, row
 from .residues import residue_vector
@@ -249,6 +255,70 @@ def brute_force_linkage_classes(k: int, n: int,
     for v in verts:
         groups.setdefault(find(index[v]), []).append(v)
     return [tuple(g) for g in groups.values()]
+
+
+# --- characters and Kronecker coefficients -----------------------------------
+
+def partitions_by_recursion(size: int) -> Iterator[Partition]:
+    """All partitions of size in descending lex order: each largest part
+    first, then the partitions of the rest with parts no larger."""
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    return rec(size, size)
+
+
+def _strip_removals(shape: Partition, size: int):
+    """Ways to remove a border strip of the given size: (new shape, height).
+
+    Worked on first-column hook coordinates: rows become the distinct numbers
+    shape_i + (l - i); removing a strip of length `size` moves one of them
+    down by `size` onto an unoccupied value.
+    """
+    l = len(shape)
+    betas = [shape[i] + l - 1 - i for i in range(l)]
+    occupied = set(betas)
+    for b in betas:
+        nb = b - size
+        if nb < 0 or nb in occupied:
+            continue
+        height = sum(1 for c in betas if nb < c < b)
+        new = sorted((c if c != b else nb for c in betas), reverse=True)
+        parts = tuple(c - (l - 1 - i) for i, c in enumerate(new))
+        yield tuple(p for p in parts if p), height
+
+
+@cache
+def mn_character_by_strips(shape: Partition, cycle: Partition) -> int:
+    """Irreducible character of S_n at a cycle type, by removing border
+    strips from validated shapes, n = |shape| = |cycle|."""
+    shape, cycle = check_partition(shape), check_partition(cycle)
+    if sum(shape) != sum(cycle):
+        raise ValueError("shape and cycle type of different sizes")
+    if not shape:
+        return 1
+    total = 0
+    for smaller, height in _strip_removals(shape, cycle[0]):
+        total += (-1) ** height * mn_character_by_strips(smaller, cycle[1:])
+    return total
+
+
+def kronecker_by_class_sum(a: Partition, b: Partition, c: Partition) -> int:
+    """g(a, b, c) as the full class sum of mn_character_by_strips, every
+    class evaluated; the division by n! is checked."""
+    n = sum(a)
+    g, rem = divmod(sum(class_size(mu) * mn_character_by_strips(a, mu)
+                        * mn_character_by_strips(b, mu)
+                        * mn_character_by_strips(c, mu)
+                        for mu in partitions_by_recursion(n)), factorial(n))
+    if rem:
+        raise AssertionError(f"non-integral coefficient for {a}, {b}, {c}")
+    return g
 
 
 # --- selftest ----------------------------------------------------------------

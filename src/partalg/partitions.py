@@ -117,19 +117,43 @@ def strictly_dominates(lam: Partition, mu: Partition) -> bool:
 
 
 def partitions_of(size: int) -> Iterator[Partition]:
-    """All partitions of size in lexicographically descending order."""
+    """All partitions of size in lexicographically descending order.
+
+    Zoghbi and Stojmenovic's algorithm ZS1: x[1..m] holds the partition,
+    x[h] is its last part above 1 and every later part is 1.  The next
+    partition lowers x[h] by one and refills the tail greedily with parts of
+    that size, then the remainder.
+    """
     if size < 0:
         raise ValueError("size must be nonnegative")
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(size, size)
+    if size == 0:
+        yield ()
+        return
+    x = [1] * (size + 1)
+    x[1] = size
+    m = h = 1
+    yield (size,)
+    while x[1] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h + 1
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[1:m + 1])
 
 
 def partitions_up_to(size: int) -> Iterator[Partition]:

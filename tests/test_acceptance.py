@@ -12,7 +12,7 @@ from itertools import combinations
 from partalg.branching import (Vertex, cell_dimension, enumerate_paths,
                                vertices_at_level)
 from partalg.diagrams import AlgebraElement, enumerate_diagrams, parse_element
-from partalg.kronecker import (check_monotone, class_size,
+from partalg.kronecker import (_character, check_monotone, class_size,
                                kronecker_coefficient, kronecker_sequence,
                                mn_character, stable_kronecker)
 from partalg.modules import (decomposition_row, simple_dimension,
@@ -155,6 +155,7 @@ def test_criterion_07_oracle_equivalences(capsys):
 
 def test_criterion_08_monotone_convergence(capsys):
     mn_character.cache_clear()
+    _character.cache_clear()
     class_size.cache_clear()
     start = time.perf_counter()
     shapes = list(partitions_up_to(3))

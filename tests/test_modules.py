@@ -177,11 +177,19 @@ def test_semisimplicity():
     assert not is_semisimple(4, 2)
     assert is_semisimple(4, 3)
     assert not is_semisimple(6, 2)
-    assert [first_semisimple_n(k) for k in (2, 4, 6, 8)] == [1, 3, 5, 7]
+    evens = range(2, 21, 2)
+    assert [first_semisimple_n(k) for k in evens] == [k - 1 for k in evens]
     # degenerate small levels
     assert is_semisimple(0, 0)
     assert is_semisimple(1, 0)
     assert not is_semisimple(2, 0)
+
+
+def test_semisimple_iff_every_block_chain_is_a_singleton():
+    for k in range(13):
+        for n in range(k + 1):
+            assert is_semisimple(k, n) == all(
+                len(chain) == 1 for chain in blocks_at_level(k, n)), (k, n)
 
 
 def test_semisimple_iff_every_simple_fills_its_cell():

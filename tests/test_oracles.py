@@ -2,12 +2,16 @@
 import rule that keeps those routes out of production."""
 
 import ast
+import random
 from pathlib import Path
 
 import partalg
 from partalg.branching import enumerate_paths, vertices_at_level
+from partalg.kronecker import kronecker_coefficient, mn_character, pad
 from partalg.modules import permissible_paths
-from partalg.oracles import is_permissible
+from partalg.oracles import (is_permissible, kronecker_by_class_sum,
+                             mn_character_by_strips, partitions_by_recursion)
+from partalg.partitions import partitions_of, partitions_up_to
 
 PACKAGE = Path(partalg.__file__).parent
 
@@ -21,6 +25,46 @@ def test_permissible_walk_equals_the_path_filter():
                 assert permissible_paths(v, n) == want, (v, n)
                 pairs += 1
     assert pairs == 639
+
+
+def test_partitions_equal_the_recursion():
+    for n in range(31):
+        assert list(partitions_of(n)) == list(partitions_by_recursion(n)), n
+
+
+def test_characters_equal_the_strip_removal_oracle():
+    pairs = 0
+    for n in range(10):
+        for shape in partitions_of(n):
+            for cycle in partitions_of(n):
+                assert mn_character(shape, cycle) == \
+                    mn_character_by_strips(shape, cycle), (shape, cycle)
+                pairs += 1
+    assert pairs == 1819
+
+
+def test_class_sums_equal_the_full_oracle_sum():
+    triples = 0
+    for n in range(7):
+        shapes = list(partitions_of(n))
+        for a in shapes:
+            for b in shapes:
+                for c in shapes:
+                    assert kronecker_coefficient(a, b, c) == \
+                        kronecker_by_class_sum(a, b, c), (a, b, c)
+                    triples += 1
+    assert triples == 1836
+
+
+def test_padded_class_sums_equal_the_full_oracle_sum():
+    # reduced shapes of size <= 6 pad validly at every n >= 12
+    rng = random.Random(6)
+    reduced = list(partitions_up_to(6))
+    for n in range(12, 21):
+        for _ in range(2):
+            triple = [pad(rng.choice(reduced), n).padded for _ in range(3)]
+            assert kronecker_coefficient(*triple) == \
+                kronecker_by_class_sum(*triple), triple
 
 
 def _imported_modules(path):
