@@ -26,16 +26,16 @@ from .modules import (BlockChain, block_chain, blocks_at_level,
                       decomposition_row, first_semisimple_n, is_semisimple,
                       permissible_paths, radical_dimension, restrict_cell,
                       restrict_simple, simple_dimension)
-from .oracles import (brute_force_linkage_classes, edge_case,
-                      geometric_residue_equivalent, is_n_pair,
-                      is_permissible, linkage_classes, npair_reflection_equiv,
-                      run_selftest, simple_dimension_by_alternating_sum,
+from .oracles import (ContentValue, brute_force_linkage_classes,
+                      content_vector, edge_case, geometric_residue_equivalent,
+                      is_n_pair, is_permissible, linkage_classes,
+                      npair_reflection_equiv, residue_equivalent,
+                      residue_vector, run_selftest,
+                      simple_dimension_by_alternating_sum,
                       simple_dimension_by_paths, step_residues)
 from .partitions import (addable_nodes, dominates, format_partition,
                          node_content, parse_partition, partitions_of,
                          partitions_up_to, removable_nodes)
-from .residues import (ContentValue, content_vector, residue_equivalent,
-                       residue_vector)
 from .zpoly import ZPoly, parse_zpoly
 
 __version__ = "0.1.0"

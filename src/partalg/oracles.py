@@ -1,14 +1,26 @@
 """Independent routes, and the selftest checks that hold production to them.
 
 Each quantity has one production route elsewhere in the package; no
-production module imports this one.  Kept here: the path-level definition
-of permissibility, two more simple-dimension counts, linkage as the closure
-of shared residue vectors, and the lemmas of the alcove geometry.  The
-checks compare these with production on small exhaustive ranges; the CLI
-selftest verb runs them all and the test suite reuses them.  Also kept: the
-recursive enumeration of partitions and the shape-based border-strip
-recursion for characters with the class sum built on it, which the test
-suite holds the production routes of partitions.py and kronecker.py to.
+production module imports this one.  Kept here: content and residue vectors
+of paths, the path-level definition of permissibility, two more
+simple-dimension counts, linkage as the closure of shared residue vectors,
+and the lemmas of the alcove geometry.  The checks compare these with
+production on small exhaustive ranges; the CLI selftest verb runs them all
+and the test suite reuses them.  Also kept: the recursive enumeration of
+partitions and the shape-based border-strip recursion for characters with
+the class sum built on it, which the test suite holds the production routes
+of partitions.py and kronecker.py to.
+
+Each step of a path carries a content value, a linear polynomial in z:
+
+    into an even level: z - |shape|                 if the shape is kept,
+                        col - row of the added node if one is added;
+    into an odd level:  |shape|                     if the shape is kept,
+                        z - (col - row)             if a node is removed.
+
+Evaluating at z = n gives the residue vector.  Two vertices are linked when
+some residue vector is shared between their path sets, closed transitively;
+the linkage classes are the block chains of modules.py.
 """
 
 from __future__ import annotations
@@ -19,17 +31,75 @@ from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
 from .branching import (Path, Vertex, cell_dimension, check_path,
-                        enumerate_paths, vertices_at_level)
-from .errors import DEFAULT_MAX_LEVEL, InternalCheckError
+                        enumerate_paths, parents, vertices_at_level)
+from .errors import DEFAULT_MAX_LEVEL, InternalCheckError, guard
 from .geometry import EmbeddedPoint, classify, embed, embedded_path, reflect
 from .kronecker import class_size
 from .modules import _vanishes, block_chain, blocks_at_level, simple_dimension
-from .partitions import Partition, check_partition, row
-from .residues import residue_vector
+from .partitions import Partition, check_partition, node_content, row
 
 SAME_ALCOVE = "same_alcove"
 WALL_J = "wall_j"
 WALL_J_MINUS_1 = "wall_j_minus_1"
+
+
+# --- contents and residues ---------------------------------------------------
+
+class ContentValue(NamedTuple):
+    """constant + zcoeff * z, with zcoeff either 0 or 1."""
+
+    constant: int
+    zcoeff: int
+
+    def at(self, n: int) -> int:
+        return self.constant + self.zcoeff * n
+
+    def __str__(self):
+        if self.zcoeff == 0:
+            return str(self.constant)
+        z = "z" if self.zcoeff == 1 else f"{self.zcoeff}z"
+        if self.constant == 0:
+            return z
+        return f"{z}{self.constant:+d}"
+
+
+def _added_node(small, large):
+    rows = max(len(small), len(large)) or 1
+    for i in range(1, rows + 1):
+        a = small[i - 1] if i <= len(small) else 0
+        b = large[i - 1] if i <= len(large) else 0
+        if b == a + 1:
+            return (i, b)
+    raise ValueError(f"{large} is not {small} plus one node")
+
+
+def edge_content(prev: Partition, cur: Partition, level: int) -> ContentValue:
+    """Content of the branching edge from prev on level - 1 to cur on level."""
+    if level % 2 == 0:
+        if cur == prev:
+            return ContentValue(-sum(cur), 1)
+        return ContentValue(node_content(_added_node(prev, cur)), 0)
+    if cur == prev:
+        return ContentValue(sum(cur), 0)
+    return ContentValue(-node_content(_added_node(cur, prev)), 1)
+
+
+def content_vector(t: Path) -> tuple[ContentValue, ...]:
+    """One content value per step of the path."""
+    t = check_path(t)
+    return tuple(edge_content(t[i - 1], t[i], i) for i in range(1, len(t)))
+
+
+def residue_vector(t: Path, n: int) -> tuple[int, ...]:
+    if n < 0:
+        raise ValueError("parameter n must be a nonnegative integer")
+    return tuple(c.at(n) for c in content_vector(t))
+
+
+def residue_equivalent(s: Path, t: Path, n: int) -> bool:
+    if len(s) != len(t):
+        raise ValueError("paths of different lengths")
+    return residue_vector(s, n) == residue_vector(t, n)
 
 
 # --- alcove geometry ---------------------------------------------------------
@@ -222,7 +292,9 @@ def linkage_classes(k: int, n: int, verify: bool = False,
     These are the block chains (blocks_at_level).  With verify=True the
     classes are recomputed from raw residue vectors (shared vector joins two
     vertices, transitive closure) and a mismatch raises InternalCheckError.
+    A level above max_level is refused either way.
     """
+    guard("level", k, "max_level", max_level)
     classes = blocks_at_level(k, n)
     if verify:
         brute = brute_force_linkage_classes(k, n, max_level)
@@ -236,8 +308,24 @@ def linkage_classes(k: int, n: int, verify: bool = False,
 def brute_force_linkage_classes(k: int, n: int,
                                 max_level: int = DEFAULT_MAX_LEVEL
                                 ) -> list[tuple[Vertex, ...]]:
-    """Union-find closure of "some paths share a residue vector"."""
-    verts = vertices_at_level(k)
+    """Union-find closure of "some paths share a residue vector".
+
+    The residue vectors at n of the paths to a vertex are those of each of
+    its parents, extended by the residue of the edge between them; they are
+    propagated level by level, so no path is built.
+    """
+    guard("level", k, "max_level", max_level)
+    if n < 0:
+        raise ValueError("parameter n must be a nonnegative integer")
+    vectors: dict[Vertex, set[tuple[int, ...]]] = {Vertex((), 0): {()}}
+    for level in range(1, k + 1):
+        below, vectors = vectors, {}
+        for v in vertices_at_level(level):
+            out = vectors[v] = set()
+            for u in parents(v):
+                step = (edge_content(u.shape, v.shape, level).at(n),)
+                out.update(r + step for r in below[u])
+    verts = list(vectors)
     index = {v: i for i, v in enumerate(verts)}
     parent = list(range(len(verts)))
 
@@ -248,9 +336,8 @@ def brute_force_linkage_classes(k: int, n: int,
 
     owner: dict[tuple[int, ...], int] = {}
     for v in verts:
-        for t in enumerate_paths(v, max_level):
-            r = owner.setdefault(residue_vector(t, n), index[v])
-            parent[find(r)] = find(index[v])
+        for r in vectors[v]:
+            parent[find(owner.setdefault(r, index[v]))] = find(index[v])
     groups: dict[int, list[Vertex]] = {}
     for v in verts:
         groups.setdefault(find(index[v]), []).append(v)

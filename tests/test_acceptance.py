@@ -17,13 +17,13 @@ from partalg.kronecker import (_character, check_monotone, class_size,
                                mn_character, stable_kronecker)
 from partalg.modules import (decomposition_row, simple_dimension,
                              _simple_dimension)
-from partalg.oracles import (brute_force_linkage_classes,
+from partalg.oracles import (brute_force_linkage_classes, content_vector,
                              geometric_residue_equivalent, is_permissible,
-                             linkage_classes, simple_dimension_by_paths,
+                             linkage_classes, residue_vector,
+                             simple_dimension_by_paths,
                              simple_dimension_by_alternating_sum,
                              step_residues)
 from partalg.partitions import partitions_of, partitions_up_to
-from partalg.residues import content_vector, residue_vector
 from partalg.zpoly import ZPoly
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]

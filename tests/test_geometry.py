@@ -16,9 +16,9 @@ from partalg.geometry import (classify, embed, reflect, reflected_vertex,
 from partalg.oracles import (SAME_ALCOVE, WALL_J, WALL_J_MINUS_1, edge_case,
                              geometric_residue_equivalent, is_n_pair,
                              npair_reflection_equiv, points_equal,
-                             reflection_index, step_residues)
+                             reflection_index, residue_vector,
+                             step_residues)
 from partalg.partitions import partitions_up_to
-from partalg.residues import residue_vector
 
 
 def test_embedding_coordinates():

@@ -5,12 +5,17 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+
 import partalg
 from partalg.branching import enumerate_paths, vertices_at_level
+from partalg.errors import ResourceLimitError
 from partalg.kronecker import kronecker_coefficient, mn_character, pad
-from partalg.modules import permissible_paths
-from partalg.oracles import (is_permissible, kronecker_by_class_sum,
-                             mn_character_by_strips, partitions_by_recursion)
+from partalg.modules import blocks_at_level, permissible_paths
+from partalg.oracles import (brute_force_linkage_classes, is_permissible,
+                             kronecker_by_class_sum, linkage_classes,
+                             mn_character_by_strips, partitions_by_recursion,
+                             residue_vector)
 from partalg.partitions import partitions_of, partitions_up_to
 
 PACKAGE = Path(partalg.__file__).parent
@@ -25,6 +30,52 @@ def test_permissible_walk_equals_the_path_filter():
                 assert permissible_paths(v, n) == want, (v, n)
                 pairs += 1
     assert pairs == 639
+
+
+def per_path_closure(k, n):
+    """Linkage classes as the union-find closure over every path's residue
+    vector, each path enumerated and its vector computed on its own."""
+    verts = vertices_at_level(k)
+    parent = list(range(len(verts)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    owner = {}
+    for i, v in enumerate(verts):
+        for t in enumerate_paths(v):
+            parent[find(owner.setdefault(residue_vector(t, n), i))] = find(i)
+    groups = {}
+    for i, v in enumerate(verts):
+        groups.setdefault(find(i), []).append(v)
+    return list(groups.values())
+
+
+def as_classes(classes):
+    return {frozenset(c) for c in classes}
+
+
+def test_propagated_linkage_equals_the_per_path_closure_and_the_chains():
+    for k in range(11):
+        for n in range(9):
+            got = as_classes(brute_force_linkage_classes(k, n))
+            assert got == as_classes(per_path_closure(k, n)), (k, n)
+            assert got == as_classes(blocks_at_level(k, n)), (k, n)
+
+
+@pytest.mark.parametrize("k, n", [(12, 3), (14, 3), (14, 5)])
+def test_propagated_linkage_equals_the_chains_high_up(k, n):
+    assert as_classes(brute_force_linkage_classes(k, n)) == \
+        as_classes(blocks_at_level(k, n))
+
+
+def test_linkage_refuses_a_level_above_the_bound():
+    with pytest.raises(ResourceLimitError):
+        linkage_classes(15, 3, verify=True)
+    with pytest.raises(ResourceLimitError):
+        brute_force_linkage_classes(20, 3, max_level=5)
 
 
 def test_partitions_equal_the_recursion():
@@ -84,9 +135,36 @@ def _imported_modules(path):
     return out
 
 
+def _names_reached(tree, start):
+    """Every name the top-level definition start uses, following the
+    module's own top-level definitions it names."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    seen, todo, names = set(), [start], set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for node in ast.walk(defs[name]):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                    if node.id in defs:
+                        todo.append(node.id)
+    return names
+
+
 def test_only_cli_and_init_import_the_oracles():
     imports = {p.stem: _imported_modules(p) for p in PACKAGE.glob("*.py")}
     assert "oracles" in imports and "selftest" not in imports
+    assert "residues" not in imports
     assert {m for m, deps in imports.items() if "oracles" in deps} == {
         "cli", "__init__"}
-    assert not imports["residues"] & {"modules", "oracles"}
+    # the residue closure stays independent of the block chains it checks
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    chain_names = {a.asname or a.name for node in tree.body
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module in ("modules", "geometry")
+                   for a in node.names}
+    closure = _names_reached(tree, "brute_force_linkage_classes")
+    assert chain_names and "edge_content" in closure
+    assert not closure & chain_names

@@ -3,9 +3,9 @@
 import pytest
 
 from partalg.branching import enumerate_paths, vertices_at_level
-from partalg.oracles import brute_force_linkage_classes, linkage_classes
-from partalg.residues import (ContentValue, content_vector,
-                              residue_equivalent, residue_vector)
+from partalg.oracles import (ContentValue, brute_force_linkage_classes,
+                             content_vector, linkage_classes,
+                             residue_equivalent, residue_vector)
 
 T = ((), (), (1,), (1,), (1,), (), ())
 S = ((), (), (1,), (1,), (2,), (2,), (3,))
