@@ -23,12 +23,13 @@ from .kronecker import (character_degree, check_monotone, class_size,
                         kronecker_sequence, mn_character, pad,
                         padded_kronecker, stable_kronecker)
 from .modules import (BlockChain, block_chain, blocks_at_level,
-                      decomposition_row, first_semisimple_n, is_semisimple,
-                      permissible_paths, radical_dimension, restrict_cell,
-                      restrict_simple, simple_dimension)
+                      decomposition_row, permissible_paths,
+                      radical_dimension, restrict_cell, restrict_simple,
+                      simple_dimension)
 from .oracles import (ContentValue, brute_force_linkage_classes,
-                      content_vector, edge_case, geometric_residue_equivalent,
-                      is_n_pair, is_permissible, linkage_classes,
+                      content_vector, edge_case, first_semisimple_n,
+                      geometric_residue_equivalent, is_n_pair,
+                      is_permissible, is_semisimple, linkage_classes,
                       npair_reflection_equiv, residue_equivalent,
                       residue_vector, run_selftest,
                       simple_dimension_by_alternating_sum,

@@ -22,7 +22,11 @@ these are tested against.
 The stable regime: pad a partition lam to lam_[n] = (n - |lam|, lam), valid
 when n - |lam| >= lam_1; g_n = g(lam_[n], mu_[n], nu_[n]) is weakly
 increasing in n and becomes constant once the diagram algebra of degree
-2(|lam| + |mu|) is semisimple at n and all three paddings are valid.
+2(|lam| + |mu|) is semisimple at n and all three paddings are valid.  The
+partition algebra of degree 2m is semisimple exactly from n = 2m - 1 on
+(Martin 1996; Halverson-Ram 2005), so the stable level is read off the
+sizes alone; the block-chain scan in oracles.py is the oracle it is tested
+against.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import guard
-from .modules import first_semisimple_n
 from .partitions import Partition, check_partition, partitions_of
 
 
@@ -151,14 +154,13 @@ class SequenceEntry(NamedTuple):
     valid: bool
 
 
-def kronecker_sequence(lam, mu, nu, n_max: int, n_min: int = 0,
-                       ) -> list[SequenceEntry]:
-    """g_n for n in [n_min, n_max], with validity flags."""
+def kronecker_sequence(lam, mu, nu, n_max: int) -> list[SequenceEntry]:
+    """g_n for n in [0, n_max], with validity flags."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    if n_max < n_min:
+    if n_max < 0:
         raise ValueError("empty range")
     out = []
-    for n in range(n_min, n_max + 1):
+    for n in range(n_max + 1):
         g, valid = padded_kronecker(lam, mu, nu, n)
         out.append(SequenceEntry(n, g, valid))
     return out
@@ -170,8 +172,9 @@ def first_padded_n(lam, mu, nu) -> int:
 
 
 def _stable_level(lam, mu, nu) -> int:
-    return max(first_semisimple_n(2 * (sum(lam) + sum(mu))),
-               first_padded_n(lam, mu, nu))
+    """First n where degree 2(|lam|+|mu|) is semisimple and every padding
+    is valid (degree 0, at lam = mu = (), is semisimple at every n)."""
+    return max(2 * (sum(lam) + sum(mu)) - 1, first_padded_n(lam, mu, nu))
 
 
 def _limit_at(lam, mu, nu, n0: int) -> int:
@@ -183,9 +186,10 @@ def _limit_at(lam, mu, nu, n0: int) -> int:
 
 def stable_kronecker(lam, mu, nu, max_n: int | None = None) -> tuple[int, int]:
     """The limit coefficient and the level n0 where the sequence is provably
-    flat: n0 = max(first semisimple n of degree 2(|lam|+|mu|), first n with
-    all paddings valid).  When |nu| exceeds |lam| + |mu| the limit is zero.
-    Refused when n0 exceeds max_n (None: no bound), before any class sum."""
+    flat: n0 = max(2(|lam|+|mu|) - 1, first n with all paddings valid), the
+    first n where degree 2(|lam|+|mu|) is semisimple and every padding fits.
+    When |nu| exceeds |lam| + |mu| the limit is zero.  Refused when n0
+    exceeds max_n (None: no bound), before any class sum."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     n0 = _stable_level(lam, mu, nu)
     guard("stable level n0", n0, "max_n", max_n)

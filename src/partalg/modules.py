@@ -1,5 +1,7 @@
 """Blocks, decomposition numbers, permissible paths, simple and radical
 dimensions for the partition algebra at an integer parameter n >= 0.
+Semisimplicity is not decided here: the Kronecker layer uses its closed
+form, and the scan over block chains lives in oracles.py.
 
 Everything here is driven by the alcove geometry: block chains are maximal
 orbits of head-row swaps inside the branching graph, a cell module indexed by
@@ -186,19 +188,3 @@ def blocks_at_level(k: int, n: int) -> list[tuple[Vertex, ...]]:
         seen.update(bc.chain)
         out.append(bc.chain)
     return out
-
-
-def is_semisimple(k: int, n: int) -> bool:
-    """True when every level-k cell module is simple and alone in its block,
-    i.e. every block chain is a singleton; stops at the first that is not."""
-    if n < 0:
-        raise ValueError("parameter n must be a nonnegative integer")
-    return all(len(block_chain(v, n).chain) == 1 for v in vertices_at_level(k))
-
-
-def first_semisimple_n(k: int) -> int:
-    """Least n at which level k is semisimple (for even k this is k - 1)."""
-    n = 0
-    while not is_semisimple(k, n):
-        n += 1
-    return n

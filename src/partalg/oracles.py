@@ -3,13 +3,14 @@
 Each quantity has one production route elsewhere in the package; no
 production module imports this one.  Kept here: content and residue vectors
 of paths, the path-level definition of permissibility, two more
-simple-dimension counts, linkage as the closure of shared residue vectors,
-and the lemmas of the alcove geometry.  The checks compare these with
-production on small exhaustive ranges; the CLI selftest verb runs them all
-and the test suite reuses them.  Also kept: the recursive enumeration of
-partitions and the shape-based border-strip recursion for characters with
-the class sum built on it, which the test suite holds the production routes
-of partitions.py and kronecker.py to.
+simple-dimension counts, semisimplicity as a scan over block chains (the
+reference for the closed-form stable level of kronecker.py), linkage as the
+closure of shared residue vectors, and the lemmas of the alcove geometry.
+The checks compare these with production on small exhaustive ranges; the
+CLI selftest verb runs them all and the test suite reuses them.  Also kept:
+the recursive enumeration of partitions and the shape-based border-strip
+recursion for characters with the class sum built on it, which the test
+suite holds the production routes of partitions.py and kronecker.py to.
 
 Each step of a path carries a content value, a linear polynomial in z:
 
@@ -281,6 +282,30 @@ def simple_dimension_by_alternating_sum(v: Vertex, n: int) -> int:
     chain = block_chain(v, n).chain
     return sum((-1) ** step * cell_dimension(w)
                for step, w in enumerate(chain[chain.index(v):]))
+
+
+# --- semisimplicity ----------------------------------------------------------
+
+def is_semisimple(k: int, n: int) -> bool:
+    """True when every level-k cell module is simple and alone in its block,
+    i.e. every block chain is a singleton; stops at the first that is not."""
+    if n < 0:
+        raise ValueError("parameter n must be a nonnegative integer")
+    return all(len(block_chain(v, n).chain) == 1 for v in vertices_at_level(k))
+
+
+def first_semisimple_n(k: int) -> int:
+    """Least n at which level k is semisimple, by scanning n upward.
+
+    For even k >= 2 this is k - 1, the closed form the stable level of
+    kronecker.py uses.  Odd levels are semisimple at n = 0 and then not
+    again until n = k - 1 (tested for odd k <= 15), so for them this
+    returns 0; the stable level reads even levels only.
+    """
+    n = 0
+    while not is_semisimple(k, n):
+        n += 1
+    return n
 
 
 # --- linkage -----------------------------------------------------------------

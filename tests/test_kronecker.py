@@ -144,7 +144,7 @@ def test_sequence_one_one_one():
         (0, 0, False), (1, 0, False), (2, 0, True),
         (3, 1, True), (4, 1, True), (5, 1, True)]
     with pytest.raises(ValueError):
-        kronecker_sequence((1,), (1,), (1,), 1, n_min=3)
+        kronecker_sequence((1,), (1,), (1,), -1)
 
 
 def test_stable_values():
@@ -199,17 +199,10 @@ def test_monotone_across_small_triples():
 
 def test_bounded_limits_refuse_before_any_class_sum(monkeypatch):
     import partalg.kronecker as kron
-    semisimple = kron.first_semisimple_n
-    degrees = []
-
-    def counted(k):
-        degrees.append(k)
-        return semisimple(k)
 
     def no_class_sum(*args):
         raise AssertionError("class sum before the refusal")
 
-    monkeypatch.setattr(kron, "first_semisimple_n", counted)
     monkeypatch.setattr(kron, "padded_kronecker", no_class_sum)
     with pytest.raises(ResourceLimitError):
         stable_kronecker((2, 1), (2, 1), (2, 1), max_n=10)   # n0 = 11
@@ -217,8 +210,8 @@ def test_bounded_limits_refuse_before_any_class_sum(monkeypatch):
         check_monotone((2,), (2,), (2,), max_n=8)            # n0 + 2 = 9
     with pytest.raises(ResourceLimitError):
         check_monotone((1,), (1,), (1,), 12, max_n=10)
-    assert degrees == [12, 8, 4]               # n0 computed once per call
+    with pytest.raises(ResourceLimitError):
+        stable_kronecker((20,), (20,), (20,), max_n=10)      # n0 = 79
     monkeypatch.setattr(kron, "padded_kronecker", padded_kronecker)
     assert stable_kronecker((2, 1), (2, 1), (2, 1), max_n=11) == (9, 11)
     assert check_monotone((2,), (2,), (2,), max_n=9).passed
-    assert degrees == [12, 8, 4, 12, 8]

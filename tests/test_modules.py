@@ -6,10 +6,10 @@ import pytest
 from partalg.branching import Vertex, cell_dimension, vertices_at_level
 from partalg.geometry import classify, embed
 from partalg.modules import (block_chain, blocks_at_level, decomposition_row,
-                             first_semisimple_n, is_semisimple,
                              permissible_paths, radical_dimension,
                              restrict_cell, restrict_simple, simple_dimension)
-from partalg.oracles import (is_permissible,
+from partalg.oracles import (first_semisimple_n, is_permissible,
+                             is_semisimple,
                              simple_dimension_by_alternating_sum,
                              simple_dimension_by_paths)
 
@@ -177,7 +177,7 @@ def test_semisimplicity():
     assert not is_semisimple(4, 2)
     assert is_semisimple(4, 3)
     assert not is_semisimple(6, 2)
-    evens = range(2, 21, 2)
+    evens = range(2, 41, 2)
     assert [first_semisimple_n(k) for k in evens] == [k - 1 for k in evens]
     # degenerate small levels
     assert is_semisimple(0, 0)

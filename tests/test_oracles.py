@@ -3,16 +3,20 @@ import rule that keeps those routes out of production."""
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import partalg
 from partalg.branching import enumerate_paths, vertices_at_level
+from partalg.diagrams import compose, enumerate_diagrams
 from partalg.errors import ResourceLimitError
-from partalg.kronecker import kronecker_coefficient, mn_character, pad
+from partalg.kronecker import (first_padded_n, kronecker_coefficient,
+                               mn_character, pad, stable_kronecker)
 from partalg.modules import blocks_at_level, permissible_paths
-from partalg.oracles import (brute_force_linkage_classes, is_permissible,
+from partalg.oracles import (brute_force_linkage_classes, first_semisimple_n,
+                             is_permissible, is_semisimple,
                              kronecker_by_class_sum, linkage_classes,
                              mn_character_by_strips, partitions_by_recursion,
                              residue_vector)
@@ -118,6 +122,80 @@ def test_padded_class_sums_equal_the_full_oracle_sum():
                 kronecker_by_class_sum(*triple), triple
 
 
+def exact_rank(rows):
+    """Rank of an integer matrix by Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def trace_form_rank(k, n):
+    """Rank of the trace form (a, b) -> tr(L_{ab}) of the level-k diagram
+    algebra at z = n, L_x being multiplication by x on the diagram basis.
+    A product of diagrams is z^loops times a diagram, so tr(L_c) of a
+    diagram c sums n^loops over the basis diagrams d with c d = z^loops d."""
+    basis = enumerate_diagrams(k)
+    trace = {}
+    for c in basis:
+        trace[c] = 0
+        for d in basis:
+            e, loops = compose(c, d)
+            if e == d:
+                trace[c] += n ** loops
+    gram = []
+    for a in basis:
+        row = []
+        for b in basis:
+            c, loops = compose(a, b)
+            row.append(n ** loops * trace[c])
+        gram.append(row)
+    return exact_rank(gram), len(basis)
+
+
+def test_exact_rank():
+    assert exact_rank([[1, 2], [2, 4]]) == 1
+    assert exact_rank([[0, 1], [1, 0]]) == 2
+    assert exact_rank([[0, 0], [0, 0]]) == 0
+    assert exact_rank([[2, 1, 1], [4, 2, 3], [6, 3, 4]]) == 2
+
+
+def test_semisimple_iff_the_trace_form_is_nondegenerate():
+    # over the rationals an algebra is semisimple exactly when the trace
+    # form of its regular representation is nondegenerate
+    for k in range(1, 6):
+        for n in range(6):
+            rank, dim = trace_form_rank(k, n)
+            assert (rank == dim) == is_semisimple(k, n), (k, n, rank, dim)
+
+
+def test_odd_levels_are_semisimple_at_zero_and_from_one_below():
+    for k in range(1, 16, 2):
+        for n in range(k + 2):
+            assert is_semisimple(k, n) == (n == 0 or n >= k - 1), (k, n)
+        assert first_semisimple_n(k) == 0
+
+
+def test_stable_level_equals_the_semisimplicity_scan():
+    shapes = list(partitions_up_to(3))
+    for lam in shapes:
+        for mu in shapes:
+            for nu in shapes:
+                scan = first_semisimple_n(2 * (sum(lam) + sum(mu)))
+                want = max(scan, first_padded_n(lam, mu, nu))
+                assert stable_kronecker(lam, mu, nu)[1] == want, (lam, mu, nu)
+    assert len(shapes) ** 3 == 343
+
+
 def _imported_modules(path):
     """The sibling partalg modules a source file imports."""
     out = set()
@@ -159,6 +237,8 @@ def test_only_cli_and_init_import_the_oracles():
     assert "residues" not in imports
     assert {m for m, deps in imports.items() if "oracles" in deps} == {
         "cli", "__init__"}
+    # the Kronecker layer stands on partitions alone
+    assert imports["kronecker"] == {"errors", "partitions"}
     # the residue closure stays independent of the block chains it checks
     tree = ast.parse((PACKAGE / "oracles.py").read_text())
     chain_names = {a.asname or a.name for node in tree.body
