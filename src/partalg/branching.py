@@ -21,8 +21,7 @@ from typing import NamedTuple
 from .errors import DEFAULT_MAX_LEVEL, guard
 from .partitions import (Partition, addable_nodes, check_partition, dominates,
                          format_partition, parse_partition, partitions_up_to,
-                         remove_node, add_node, removable_nodes,
-                         strictly_dominates)
+                         removable_nodes, strictly_dominates)
 
 
 Path = tuple[Partition, ...]
@@ -68,19 +67,20 @@ def parents(v: Vertex) -> list[Vertex]:
         return []
     out: list[Vertex] = []
     if k % 2 == 0:
-        # parent either equals lam or lam minus a node; smaller shapes
+        # parent either equals lam or lam minus a node (i, c); smaller shapes
         # dominate, and among removals the lower row wins
-        for a in reversed(removable_nodes(lam)):
-            out.append(Vertex(remove_node(lam, a), k - 1))
+        for i, c in reversed(removable_nodes(lam)):
+            mu = lam[:i - 1] + (c - 1,) + lam[i:] if c > 1 else lam[:-1]
+            out.append(Vertex(mu, k - 1))
         if is_vertex(lam, k - 1):
             out.append(Vertex(lam, k - 1))
     else:
-        if is_vertex(lam, k - 1):
-            out.append(Vertex(lam, k - 1))
-        for a in addable_nodes(lam):
-            mu = add_node(lam, a)
-            if is_vertex(mu, k - 1):
-                out.append(Vertex(mu, k - 1))
+        # k - 1 has room for lam; every lam plus a node (i, c) has the same
+        # size, so all of those fit or none do
+        out.append(Vertex(lam, k - 1))
+        if is_vertex(lam + (1,), k - 1):
+            out += [Vertex(lam[:i - 1] + (c,) + lam[i:], k - 1)
+                    for i, c in addable_nodes(lam)]
     return out
 
 

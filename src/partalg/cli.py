@@ -257,7 +257,8 @@ def main(argv=None) -> int:
         args.fn(args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, RecursionError) as exc:
+        # memoised walks recurse once per level: too deep a level is refused
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except (ValueError, InternalCheckError) as exc:

@@ -9,11 +9,13 @@ so the coordinates x_1 > x_2 > ... decrease strictly and settle at -i.  The
 point lies on wall j when x_0 = x_j, and in alcove j when x_{j-1} > x_0 > x_j
 (alcove 1 means x_0 > x_1); exactly one of these holds.
 
-Swapping x_0 with x_j is the reflection s_{0,j}.  Applied to an embedded
-vertex it lands back in the image of the embedding exactly when the rows read
-off from the swapped coordinates form a partition that fits the level; the
-head coordinate is consistent automatically.  These swaps generate everything
-the block and decomposition machinery needs.
+Swapping x_0 with x_j is the reflection s_{0,j}.  Production reads it back
+on shapes: row j becomes head + j, the other rows stay, and the swapped head
+is consistent automatically, so the image is a vertex exactly when those rows
+form a partition that fits the level.  These swaps generate everything the
+block and decomposition machinery needs.  The coordinate route (reflect the
+staircase, compare with oracles.reflection_equal) lives on only as the
+reference the shape rule is tested against.
 
 Branching edges move the embedded point by one unit in one coordinate: into
 an even level the step adds epsilon_j, into an odd level it subtracts it.
@@ -104,30 +106,18 @@ def reflect(x: EmbeddedPoint, j: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def vertex_from_coords(coords: tuple[int, ...], level: int, n: int) -> Vertex | None:
-    """Read a vertex back off raw coordinates, or None when they leave the
-    embedded image (rows must form a partition that fits the level).
-
-    The trailing coordinates are implicitly -i, so the prefix must carry any
-    nonzero rows.
-    """
-    parts = [coords[i] + i for i in range(1, len(coords))]
-    if any(p < 0 for p in parts):
-        return None
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        return None
-    lam = tuple(p for p in parts if p)  # zeros form a suffix by the check above
-    if not is_vertex(lam, level):
-        return None
-    expected_head = (n if level % 2 == 0 else n - 1) - sum(lam)
-    if coords[0] != expected_head:
-        return None
-    return Vertex(lam, level)
-
-
 def reflected_vertex(v: Vertex, n: int, j: int) -> Vertex | None:
-    """Apply s_{0,j} to phi_n(v) and convert back, if possible."""
-    return vertex_from_coords(reflect(embed(v, n), j), v.level, n)
+    """s_{0,j}(phi_n(v)) read back on shapes: row j becomes head + j, the
+    other rows stay; None unless those rows form a partition fitting the
+    level."""
+    if j < 1:
+        raise ValueError("reflection index must be at least 1")
+    lam, k = v
+    r = embed(v, n).head + j
+    if r < row(lam, j + 1) or (j > 1 and r > row(lam, j - 1)):
+        return None
+    mu = lam[:j - 1] + (r,) + lam[j:] if r else lam[:j - 1]
+    return Vertex(mu, k) if is_vertex(mu, k) else None
 
 
 def embedded_path(t: Path, n: int) -> list[EmbeddedPoint]:

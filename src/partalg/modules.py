@@ -18,20 +18,21 @@ branch appears only where a closed formula is used.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from typing import NamedTuple
 
 from .branching import (Path, Vertex, cell_dimension, enumerate_paths,
                         parents, vertices_at_level)
 from .errors import DEFAULT_MAX_LEVEL, guard
-from .geometry import AlcovePosition, classify, embed, reflected_vertex
+from .geometry import classify, embed, reflected_vertex
 
 
 class BlockChain(NamedTuple):
     """Maximal swap chain through a vertex, sizes strictly increasing.
 
-    chain[i] sits in alcove i+1; reflections[i] is the swap index j carrying
-    chain[i] to chain[i+1].  A wall vertex is its own singleton chain.
+    chain[i] sits in alcove i+1, and the swap s_{0,i+1} carries it to
+    chain[i+1], so reflections[i] = i + 1.  A wall vertex is its own
+    singleton chain.
     """
 
     chain: tuple[Vertex, ...]
@@ -46,29 +47,20 @@ def block_chain(v: Vertex, n: int) -> BlockChain:
     pos = classify(embed(v, n))
     if pos.kind == "wall":
         return BlockChain((v,), ())
-    a = pos.index
     # walk down to alcove 1: the swap s_{0,a-1}, ..., s_{0,1} images always
     # read back as vertices (their shapes shrink)
-    down: list[Vertex] = []
-    cur = v
-    for j in range(a - 1, 0, -1):
-        prev = reflected_vertex(cur, n, j)
-        if prev is None:
-            raise AssertionError(f"downward swap failed at {cur}, j={j}")
-        down.append(prev)
-        cur = prev
-    chain = list(reversed(down)) + [v]
-    refl = list(range(1, a))
-    # walk up while the swapped point still reads back as a vertex
-    cur, j = v, a
-    while True:
-        nxt = reflected_vertex(cur, n, j)
-        if nxt is None:
-            break
-        chain.append(nxt)
-        refl.append(j)
-        cur, j = nxt, j + 1
-    return BlockChain(tuple(chain), tuple(refl))
+    base = v
+    for j in range(pos.index - 1, 0, -1):
+        below = reflected_vertex(base, n, j)
+        if below is None:
+            raise AssertionError(f"downward swap failed at {base}, j={j}")
+        base = below
+    # walk up by s_{0,1}, s_{0,2}, ... while the swapped point still reads
+    # back as a vertex
+    chain = [base]
+    while (up := reflected_vertex(chain[-1], n, len(chain))) is not None:
+        chain.append(up)
+    return BlockChain(tuple(chain), tuple(range(1, len(chain))))
 
 
 class DecompositionRow(NamedTuple):
@@ -98,34 +90,31 @@ def decomposition_row(v: Vertex, n: int) -> DecompositionRow:
     return DecompositionRow(v, tuple(factors))
 
 
-def _position(v: Vertex, n: int) -> AlcovePosition:
-    return classify(embed(v, n))
-
-
-def _simple_parents(v: Vertex, n: int, j: int) -> list[Vertex]:
-    """Parents of a vertex in alcove j that its simple module restricts to:
-    those in alcove j or on the facing wall j - 1 (walls start at 1)."""
+def _simple_parents(v: Vertex, n: int) -> list[Vertex] | None:
+    """The parents that the simple module of v restricts to: for v in alcove
+    j, those in alcove j or on the facing wall j - 1 (walls start at 1).
+    None where the simple module is the whole cell module: on a wall, and at
+    level 0.  v is placed before the level test, so embed refuses a negative
+    n at level 0 too."""
+    pos = classify(embed(v, n))
+    if v.level == 0 or pos.kind == "wall":
+        return None
+    j = pos.index
     return [u for u in parents(v)
-            if _position(u, n) in (("alcove", j), ("wall", j - 1))]
+            if classify(embed(u, n)) in (("alcove", j), ("wall", j - 1))]
 
 
-@lru_cache(maxsize=None)
-def _simple_dimension(shape, level, n) -> int:
-    v = Vertex(shape, level)
-    if level == 0:
-        return 1
-    pos = _position(v, n)
-    if pos.kind == "wall":
+@cache
+def _simple_dimension(v: Vertex, n: int) -> int:
+    kept = _simple_parents(v, n)
+    if kept is None:
         return cell_dimension(v)
-    return sum(_simple_dimension(u.shape, u.level, n)
-               for u in _simple_parents(v, n, pos.index))
+    return sum(_simple_dimension(u, n) for u in kept)
 
 
 def simple_dimension(v: Vertex, n: int) -> int:
     """Dimension of the simple module of v, by the restriction recursion."""
-    if n < 0:
-        raise ValueError("parameter n must be a nonnegative integer")
-    return _simple_dimension(v.shape, v.level, n)
+    return _simple_dimension(v, n)
 
 
 def permissible_paths(v: Vertex, n: int,
@@ -140,11 +129,10 @@ def permissible_paths(v: Vertex, n: int,
 
     @cache
     def rec(u: Vertex) -> tuple[Path, ...]:
-        pos = _position(u, n)
-        if u.level == 0 or pos.kind == "wall":
+        kept = _simple_parents(u, n)
+        if kept is None:
             return tuple(enumerate_paths(u, max_level))
-        return tuple(p + (u.shape,)
-                     for w in _simple_parents(u, n, pos.index) for p in rec(w))
+        return tuple(p + (u.shape,) for w in kept for p in rec(w))
 
     return list(rec(v))
 
@@ -167,14 +155,14 @@ def restrict_simple(v: Vertex, n: int) -> list[Vertex]:
 
     Wall vertices are refused; restrict the cell module instead (they agree).
     """
-    pos = _position(v, n)
-    if pos.kind == "wall":
-        raise ValueError(
-            "simple restriction is only computed for alcove vertices; "
-            "use restrict_cell, the modules coincide on walls")
+    kept = _simple_parents(v, n)
+    if kept is not None:
+        return kept
     if v.level == 0:
         raise ValueError("level 0 does not restrict")
-    return _simple_parents(v, n, pos.index)
+    raise ValueError(
+        "simple restriction is only computed for alcove vertices; "
+        "use restrict_cell, the modules coincide on walls")
 
 
 def blocks_at_level(k: int, n: int) -> list[tuple[Vertex, ...]]:

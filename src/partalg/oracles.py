@@ -1,16 +1,17 @@
 """Independent routes, and the selftest checks that hold production to them.
 
-Each quantity has one production route elsewhere in the package; no
-production module imports this one.  Kept here: content and residue vectors
-of paths, the path-level definition of permissibility, two more
-simple-dimension counts, semisimplicity as a scan over block chains (the
-reference for the closed-form stable level of kronecker.py), linkage as the
-closure of shared residue vectors, and the lemmas of the alcove geometry.
-The checks compare these with production on small exhaustive ranges; the
-CLI selftest verb runs them all and the test suite reuses them.  Also kept:
-the recursive enumeration of partitions and the shape-based border-strip
-recursion for characters with the class sum built on it, which the test
-suite holds the production routes of partitions.py and kronecker.py to.
+Each quantity has one production route elsewhere in the package; only cli.py
+and the package root import this module, as an ast test enforces.  Kept here:
+content and residue vectors of paths, the path-level definition of
+permissibility, two more simple-dimension counts, semisimplicity as a scan
+over block chains (the reference for the closed-form stable level of
+kronecker.py), linkage as the closure of shared residue vectors, and the
+lemmas of the alcove geometry.  The checks compare these with production on
+small exhaustive ranges; the CLI selftest verb runs them all and the test
+suite reuses them.  Also kept: the recursive enumeration of partitions and
+the shape-based border-strip recursion for characters with the class sum
+built on it, which the test suite holds the production routes of
+partitions.py and kronecker.py to.
 
 Each step of a path carries a content value, a linear polynomial in z:
 

@@ -77,24 +77,6 @@ def removable_nodes(lam: Partition) -> list[Node]:
             if row(lam, i) > row(lam, i + 1)]
 
 
-def add_node(lam: Partition, a: Node) -> Partition:
-    if a not in addable_nodes(lam):
-        raise ValueError(f"node {a} is not addable to {lam}")
-    i = a[0]
-    parts = list(lam) + [0] * (i - len(lam))
-    parts[i - 1] += 1
-    return tuple(p for p in parts if p)
-
-
-def remove_node(lam: Partition, a: Node) -> Partition:
-    if a not in removable_nodes(lam):
-        raise ValueError(f"node {a} is not removable from {lam}")
-    i = a[0]
-    parts = list(lam)
-    parts[i - 1] -= 1
-    return tuple(p for p in parts if p)
-
-
 def dominates(lam: Partition, mu: Partition) -> bool:
     """lam >= mu in the size-graded dominance order.
 

@@ -1,18 +1,37 @@
 """Branching graph: vertices, parents, path enumeration and order, dimensions."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from partalg.branching import (Vertex, cell_dimension, check_path,
                                dominance_geq, enumerate_paths, format_path,
                                is_edge, parents, parse_path, path_endpoint,
                                path_succ, truncate, vertex, vertices_at_level)
 from partalg.errors import ResourceLimitError
+from partalg.partitions import (addable_nodes, is_partition, removable_nodes,
+                                row, strictly_dominates)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
 
 def shapes(vs):
     return [v.shape for v in vs]
+
+
+def canonical(parts):
+    return tuple(sorted((p for p in parts if p > 0), reverse=True))
+
+
+partition_st = st.builds(
+    canonical, st.lists(st.integers(min_value=0, max_value=8), max_size=8))
+
+
+def one_node_apart(small, big):
+    """big is small plus one node: nested partitions, one size apart."""
+    return (is_partition(small) and is_partition(big)
+            and sum(big) == sum(small) + 1
+            and all(row(big, i) >= row(small, i)
+                    for i in range(1, len(small) + 1)))
 
 
 def test_vertex_constructor_validates():
@@ -51,6 +70,36 @@ def test_parents_are_dominance_decreasing():
             ps = parents(v)
             for a, b in zip(ps, ps[1:]):
                 assert dominance_geq(a, b) and a != b
+
+
+@given(partition_st)
+def test_addable_and_removable_invert(lam):
+    """The parents of (lam, 2|lam|) are exactly the one-node removals, those
+    of (lam, 2|lam|+3) are lam and then the one-node additions (at
+    2|lam|+1 no addition fits), and the next level up undoes each move."""
+    s = sum(lam)
+    assert parents(Vertex(lam, 2 * s + 1)) == [Vertex(lam, 2 * s)]
+    removed = shapes(parents(Vertex(lam, 2 * s)))
+    kept, *added = shapes(parents(Vertex(lam, 2 * s + 3)))
+    assert len(removed) == len(set(removed)) == len(removable_nodes(lam))
+    assert all(one_node_apart(mu, lam) for mu in removed)
+    assert kept == lam
+    assert len(added) == len(set(added)) == len(addable_nodes(lam))
+    assert all(one_node_apart(lam, u) for u in added)
+    for u in added:
+        assert lam in shapes(parents(Vertex(u, 2 * s + 2)))
+    for mu in removed:
+        assert lam in shapes(parents(Vertex(mu, 2 * s + 1)))
+
+
+@given(partition_st)
+def test_single_node_moves_are_comparable(lam):
+    # removals from lower rows dominate, lam dominates its additions, and
+    # additions in higher rows dominate
+    s = sum(lam)
+    for vs in parents(Vertex(lam, 2 * s)), parents(Vertex(lam, 2 * s + 3)):
+        for x, y in zip(vs, vs[1:]):
+            assert strictly_dominates(x.shape, y.shape)
 
 
 def test_is_edge():

@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import partalg
 from partalg.cli import VERBS, build_parser, main
 
 
@@ -211,6 +216,23 @@ def test_resource_refusals(capsys):
     assert rc == 3
     assert out == ""
     assert "refused" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "simple-dim --k 2000 --n 3 --lambda 1",
+    "dims --k 2000 --lambda 1",
+    "paths --k 2000 --lambda 1 --max-k 2000",
+    "permissible --k 2000 --n 3 --lambda 1 --max-k 2000",
+], ids=lambda argv: argv.split()[0])
+def test_levels_deeper_than_the_recursion_limit_are_refused(argv):
+    # a fresh interpreter, so stderr is exactly what a user would see
+    env = dict(os.environ, PYTHONPATH=str(Path(partalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "partalg.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("refused:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_domain_error_exit_code(capsys):

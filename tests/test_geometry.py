@@ -11,13 +11,12 @@ from itertools import combinations
 import pytest
 
 from partalg.branching import Vertex, enumerate_paths, is_edge, parents, vertices_at_level
-from partalg.geometry import (classify, embed, reflect, reflected_vertex,
-                              vertex_from_coords)
+from partalg.geometry import classify, embed, reflect, reflected_vertex
 from partalg.oracles import (SAME_ALCOVE, WALL_J, WALL_J_MINUS_1, edge_case,
                              geometric_residue_equivalent, is_n_pair,
                              npair_reflection_equiv, points_equal,
-                             reflection_index, residue_vector,
-                             step_residues)
+                             reflection_equal, reflection_index,
+                             residue_vector, step_residues)
 from partalg.partitions import partitions_up_to
 
 
@@ -69,6 +68,9 @@ def test_reflection_examples():
     assert reflect(x, 1)[:3] == (-1, 2, -2)
     assert reflected_vertex(Vertex((), 6), 2, 1) == Vertex((3,), 6)
     assert reflected_vertex(Vertex((1,), 4), 2, 1) == Vertex((2,), 4)
+    # and back: phi_2((3,), 6) = (-1 | 2,-2,...) swaps to phi_2((), 6)
+    assert embed(Vertex((3,), 6), 2).coords(2) == reflect(x, 1)
+    assert reflected_vertex(Vertex((3,), 6), 2, 1) == Vertex((), 6)
     # leaving the image: size bound
     assert reflected_vertex(Vertex((3,), 6), 2, 2) is None
     # wall points are fixed by their own swap
@@ -76,13 +78,20 @@ def test_reflection_examples():
     assert reflect(w, 1)[:2] == (0, 0)
 
 
-def test_vertex_from_coords_rejects_bad_staircases():
-    # descending staircase but head inconsistent with the level parity
-    assert vertex_from_coords((5, 0, -2, -3), 6, 2) is None
-    # non-partition rows
-    assert vertex_from_coords((0, 1, 2, -3), 6, 2) is None
-    # valid: phi_2((3,), 6)
-    assert vertex_from_coords((-1, 2, -2, -3), 6, 2) == Vertex((3,), 6)
+def test_reflected_vertex_matches_the_coordinate_model():
+    """The shape rule lands on the vertex whose embedding is the swapped
+    staircase, and on None when no vertex of the level embeds there."""
+    for k in range(11):
+        level = vertices_at_level(k)
+        for n in range(9):
+            for v in level:
+                x = embed(v, n)
+                for j in range(1, k // 2 + 3):
+                    hits = [w for w in level
+                            if reflection_equal(x, embed(w, n), j)]
+                    assert len(hits) <= 1
+                    want = hits[0] if hits else None
+                    assert reflected_vertex(v, n, j) == want, (v, n, j)
 
 
 def test_n_pair_examples():

@@ -9,7 +9,7 @@ from partalg.modules import (block_chain, blocks_at_level, decomposition_row,
                              permissible_paths, radical_dimension,
                              restrict_cell, restrict_simple, simple_dimension)
 from partalg.oracles import (first_semisimple_n, is_permissible,
-                             is_semisimple,
+                             is_semisimple, reflection_index,
                              simple_dimension_by_alternating_sum,
                              simple_dimension_by_paths)
 
@@ -37,11 +37,22 @@ def test_block_chain_at_n_zero():
 
 
 def test_chain_sizes_strictly_increase():
-    for k in range(9):
-        for n in range(5):
-            for chain in blocks_at_level(k, n):
-                sizes = [sum(v.shape) for v in chain]
+    """Chains start in alcove 1 (or are a lone wall vertex), member i + 1 is
+    the s_{0,i+1} image of member i, and sizes strictly increase."""
+    for k in range(11):
+        for n in range(9):
+            for v in vertices_at_level(k):
+                chain, reflections = block_chain(v, n)
+                assert v in chain
+                sizes = [sum(w.shape) for w in chain]
                 assert sizes == sorted(set(sizes))
+                assert reflections == tuple(range(1, len(chain)))
+                if classify(embed(v, n)).kind == "wall":
+                    assert chain == (v,)
+                else:
+                    assert classify(embed(chain[0], n)) == ("alcove", 1)
+                for i in range(len(chain) - 1):
+                    assert reflection_index(chain[i], chain[i + 1], n) == i + 1
 
 
 def test_chains_partition_each_level():
@@ -111,6 +122,8 @@ def test_simple_dimension_examples():
     assert simple_dimension(Vertex((), 2), 0) == 0
     assert simple_dimension(Vertex((1,), 2), 0) == 1
     assert simple_dimension(Vertex((), 0), 0) == 1
+    with pytest.raises(ValueError):
+        simple_dimension(Vertex((), 0), -1)
 
 
 def test_simple_dimension_routes_agree():

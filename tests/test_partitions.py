@@ -3,11 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from partalg.partitions import (addable_nodes, add_node, check_partition,
-                                dominates, format_partition, node_content,
+from partalg.partitions import (addable_nodes, check_partition, dominates,
+                                format_partition, node_content,
                                 parse_partition, partitions_of,
-                                partitions_up_to, removable_nodes,
-                                remove_node, row, strictly_dominates)
+                                partitions_up_to, removable_nodes, row)
 
 
 def canonical(parts):
@@ -56,14 +55,6 @@ def test_nodes_small_cases():
 
 
 @given(partition_st)
-def test_addable_and_removable_invert(lam):
-    for a in addable_nodes(lam):
-        assert remove_node(add_node(lam, a), a) == lam
-    for a in removable_nodes(lam):
-        assert add_node(remove_node(lam, a), a) == lam
-
-
-@given(partition_st)
 def test_addable_count_exceeds_removable_by_one(lam):
     assert len(addable_nodes(lam)) == len(removable_nodes(lam)) + 1
 
@@ -96,17 +87,6 @@ def test_dominance_partial_order(a, b, c):
         assert a == b
     if dominates(a, b) and dominates(b, c):
         assert dominates(a, c)
-
-
-@given(partition_st)
-def test_single_node_moves_are_comparable(lam):
-    # removals from later rows dominate, additions in earlier rows dominate
-    removed = [remove_node(lam, a) for a in removable_nodes(lam)]
-    for x, y in zip(removed, removed[1:]):
-        assert strictly_dominates(y, x)
-    added = [add_node(lam, a) for a in addable_nodes(lam)]
-    for x, y in zip(added, added[1:]):
-        assert strictly_dominates(x, y)
 
 
 def test_enumeration_order():
