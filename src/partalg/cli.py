@@ -3,6 +3,9 @@
 Every verb prints deterministic JSON (CSV where `--format csv` is asked for;
 `graph-dot` prints DOT), so runs are byte-for-byte reproducible.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 refusal on a resource bound.
+
+Flags are read straight from the verb table (`VERBS`, `FLAGS`); argparse is
+built only for `--help` and usage errors, so its messages stay the only ones.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ FLAGS = {
     "--b": dict(required=True),
     "--module": dict(choices=("simple", "cell"), default="simple"),
     "--format": dict(choices=("json", "csv"), default="json"),
-    "--verify": dict(action="store_true"),
+    "--verify": dict(action="store_true", default=False),
     "--max-k": dict(dest="max_k", type=int, default=DEFAULT_MAX_LEVEL),
     "--max-n": dict(dest="max_n", type=int, default=DEFAULT_MAX_N),
 }
@@ -247,16 +250,53 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(verb: str, argv) -> argparse.Namespace | None:
+    """What build_parser(verb).parse_args([verb, *argv]) returns, read from
+    the table, when argv is plain: each of the verb's flags at most once,
+    spelled out, every value a separate token not starting with "-", every
+    value converted and every required flag given.  None for anything else,
+    which argparse then parses or rejects with its own message."""
+    fn, names = VERBS[verb]
+    specs = {name.rstrip("?"): FLAGS[name] for name in names}
+    dests = {flag: spec.get("dest", flag[2:].replace("-", "_"))
+             for flag, spec in specs.items()}
+    values = {dests[flag]: spec.get("default") for flag, spec in specs.items()}
+    tokens = iter(argv)
+    for flag in tokens:
+        spec = specs.pop(flag, None)   # popped: a repeated flag is unknown
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            value = True
+        else:
+            text = next(tokens, "-")   # a missing value reads as a flag
+            if text.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        values[dests[flag]] = value
+    if any(spec.get("required") for spec in specs.values()):
+        return None
+    return argparse.Namespace(verb=verb, fn=fn, **values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # no verb, --help or an unknown verb: the full parser and its messages
     verb = argv[0] if argv and argv[0] in VERBS else None
-    parser = build_parser(verb)
-    args = parser.parse_args(argv)
+    args = _plain_args(verb, argv[1:]) if verb is not None else None
+    parser = None
+    if args is None:
+        parser = build_parser(verb)
+        args = parser.parse_args(argv)
     try:
         args.fn(args)
     except argparse.ArgumentError as exc:
-        parser.error(str(exc))
+        (parser or build_parser(verb)).error(str(exc))
     except (ResourceLimitError, RecursionError) as exc:
         # memoised walks recurse once per level: too deep a level is refused
         print(f"refused: {exc}", file=sys.stderr)

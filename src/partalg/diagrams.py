@@ -46,6 +46,11 @@ def dots_for_level(k: int) -> int:
     return (k + 1) // 2
 
 
+def _point_label(p) -> str:
+    """A signed point as written: i for southern i, i' for northern i'."""
+    return f"{-p}'" if isinstance(p, int) and p < 0 else str(p)
+
+
 class Diagram:
     """A set partition of the 2m boundary points, in canonical form."""
 
@@ -59,10 +64,11 @@ class Diagram:
             for p in block:
                 if (not isinstance(p, int) or isinstance(p, bool) or p == 0
                         or abs(p) > dots):
-                    raise ValueError(f"point {p} out of range for {dots} dots")
+                    raise ValueError(f"point {_point_label(p)} out of range "
+                                     f"for {dots} dots")
                 c = p - 1 if p > 0 else dots - p - 1
                 if c in seen:
-                    raise ValueError(f"point {p} repeated")
+                    raise ValueError(f"point {_point_label(p)} repeated")
                 seen.add(c)
                 codes.append(c)
             if not codes:
@@ -155,10 +161,10 @@ def parse_diagram(text: str, dots: int | None = None) -> Diagram:
             for tok in chunk.split(","):
                 if not tok:
                     raise ValueError(f"malformed diagram {text!r}")
-                if tok.endswith("'"):
-                    p = -int(tok[:-1])
-                else:
-                    p = int(tok)
+                try:
+                    p = -int(tok[:-1]) if tok.endswith("'") else int(tok)
+                except ValueError:
+                    raise ValueError(f"malformed diagram {text!r}") from None
                 block.append(p)
             blocks.append(block)
             points.update(block)

@@ -22,6 +22,8 @@ def emit_dot(k: int, n: int) -> str:
     Wall vertices are boxed and annotated; alcove vertices are ellipses
     filled by alcove index.  Levels share a rank.
     """
+    if k < 0:
+        raise ValueError("level must be nonnegative")
     lines = [
         f"// branching graph, levels 0..{k}, parameter n={n}",
         "digraph branching {",

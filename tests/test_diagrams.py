@@ -50,6 +50,17 @@ def test_diagram_validation():
         Diagram(1, [[1], [1], [-1]])  # repeated
 
 
+def test_parse_errors_speak_of_diagrams_and_primed_points():
+    text = "[[1,1']]+[[1],[1']]"
+    with pytest.raises(ValueError) as exc:
+        parse_diagram(text)
+    assert str(exc.value) == f"malformed diagram {text!r}"
+    with pytest.raises(ValueError, match=r"^point 3' out of range for 1 dots$"):
+        parse_diagram("[[1,3']]", 1)
+    with pytest.raises(ValueError, match=r"^point 1' repeated$"):
+        parse_diagram("[[1,1'],[1']]")
+
+
 def test_bool_points_rejected():
     # True == 1 as an int, but it is not a point
     with pytest.raises(ValueError):
