@@ -22,7 +22,7 @@ from .diagrams import enumerate_diagrams, format_diagram, parse_element
 from .dot import emit_dot
 from .errors import (DEFAULT_MAX_LEVEL, DEFAULT_MAX_N, InternalCheckError,
                      ResourceLimitError, guard)
-from .kronecker import (check_monotone, kronecker_sequence, padded_kronecker,
+from .kronecker import (check_monotone, kronecker_at, kronecker_sequence,
                         stable_kronecker)
 from .modules import (decomposition_row, permissible_paths, radical_dimension,
                       restrict_cell, restrict_simple, simple_dimension)
@@ -142,7 +142,7 @@ def cmd_kronecker(args) -> None:
                 raise argparse.ArgumentError(
                     None, f"argument {flag}: not allowed with argument --n")
         guard("n", args.n, "--max-n", args.max_n)
-        g, valid = padded_kronecker(lam, mu, nu, args.n)
+        g, valid = kronecker_at(lam, mu, nu, args.n)
         _emit({**_triple_json(lam, mu, nu), "n": args.n, "g": g,
                "valid": valid})
         return

@@ -159,13 +159,13 @@ def parse_diagram(text: str, dots: int | None = None) -> Diagram:
         for chunk in inner[1:-1].split("],["):
             block = []
             for tok in chunk.split(","):
-                if not tok:
+                # ASCII digits and an optional prime; int() alone would
+                # also take signs, underscores and non-ASCII digits
+                primed = tok.endswith("'")
+                digits = tok[:-1] if primed else tok
+                if not (digits.isascii() and digits.isdigit()):
                     raise ValueError(f"malformed diagram {text!r}")
-                try:
-                    p = -int(tok[:-1]) if tok.endswith("'") else int(tok)
-                except ValueError:
-                    raise ValueError(f"malformed diagram {text!r}") from None
-                block.append(p)
+                block.append(-int(digits) if primed else int(digits))
             blocks.append(block)
             points.update(block)
     if dots is None:

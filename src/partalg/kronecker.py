@@ -24,9 +24,24 @@ when n - |lam| >= lam_1; g_n = g(lam_[n], mu_[n], nu_[n]) is weakly
 increasing in n and becomes constant once the diagram algebra of degree
 2(|lam| + |mu|) is semisimple at n and all three paddings are valid.  The
 partition algebra of degree 2m is semisimple exactly from n = 2m - 1 on
-(Martin 1996; Halverson-Ram 2005), so the stable level is read off the
+(Martin 1996; Halverson-Ram 2005), so the stable level n0 is read off the
 sizes alone; the block-chain scan in oracles.py is the oracle it is tested
 against.
+
+The sequence is often flat earlier.  For n >= |lam| + lam_1, chi^{lam_[n]}
+is the character polynomial q_lam in the cycle counts m_1, m_2, ..., of
+weighted degree |lam| when m_i has degree i (Macdonald, Symmetric Functions
+and Hall Polynomials, Ex. I.7.14).  So g_n is the mean over S_n of
+q_lam q_mu q_nu, a combination of products of binomials C(m_i, a_i) with
+sum i a_i <= |lam| + |mu| + |nu|, and the mean of such a product over S_n
+no longer depends on n once sum i a_i <= n (Arratia-Barbour-Tavare,
+Logarithmic Combinatorial Structures, 2003).  Hence g_n is constant from
+N* = max(|lam| + |mu| + |nu|, first_padded_n) on, and every verb sums
+classes at most at the flat level F = min(n0, N*): kronecker_sequence
+repeats g_F above it, kronecker_at evaluates at min(n, F) and
+stable_kronecker at F, while stable_kronecker still reports n0.
+padded_kronecker stays the literal class sum at the n it is given, and
+check_monotone calls it at every n it reports.
 """
 
 from __future__ import annotations
@@ -148,21 +163,35 @@ def padded_kronecker(lam: Partition, mu: Partition, nu: Partition, n: int) -> tu
     return kronecker_coefficient(pl.padded, pm.padded, pn.padded), True
 
 
+def kronecker_at(lam, mu, nu, n: int) -> tuple[int, bool]:
+    """g at one n, as padded_kronecker reports it, summed at min(n, F):
+    from the flat level F on, g_n is the value at F."""
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    return padded_kronecker(lam, mu, nu, min(n, _flat_level(lam, mu, nu)))
+
+
 class SequenceEntry(NamedTuple):
     n: int
     g: int
     valid: bool
 
 
-def kronecker_sequence(lam, mu, nu, n_max: int) -> list[SequenceEntry]:
-    """g_n for n in [0, n_max], with validity flags."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+def _literal_sequence(lam, mu, nu, n_max: int) -> list[SequenceEntry]:
+    """One class sum per n in [0, n_max]."""
     if n_max < 0:
         raise ValueError("empty range")
-    out = []
-    for n in range(n_max + 1):
-        g, valid = padded_kronecker(lam, mu, nu, n)
-        out.append(SequenceEntry(n, g, valid))
+    return [SequenceEntry(n, *padded_kronecker(lam, mu, nu, n))
+            for n in range(n_max + 1)]
+
+
+def kronecker_sequence(lam, mu, nu, n_max: int) -> list[SequenceEntry]:
+    """g_n for n in [0, n_max], with validity flags; classes are summed
+    only up to the flat level F, and every later entry repeats g_F."""
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    flat = _flat_level(lam, mu, nu)
+    out = _literal_sequence(lam, mu, nu, min(n_max, flat))
+    out += [SequenceEntry(n, out[-1].g, True)
+            for n in range(flat + 1, n_max + 1)]
     return out
 
 
@@ -177,10 +206,17 @@ def _stable_level(lam, mu, nu) -> int:
     return max(2 * (sum(lam) + sum(mu)) - 1, first_padded_n(lam, mu, nu))
 
 
-def _limit_at(lam, mu, nu, n0: int) -> int:
-    g, valid = padded_kronecker(lam, mu, nu, n0)
+def _flat_level(lam, mu, nu) -> int:
+    """F = min(n0, N*), N* = max(|lam| + |mu| + |nu|, first_padded_n): the
+    least level this module proves g_n constant from (module docstring)."""
+    n_star = max(sum(lam) + sum(mu) + sum(nu), first_padded_n(lam, mu, nu))
+    return min(_stable_level(lam, mu, nu), n_star)
+
+
+def _limit_at(lam, mu, nu, n: int) -> int:
+    g, valid = padded_kronecker(lam, mu, nu, n)
     if not valid:
-        raise AssertionError(f"padding invalid at the stable level {n0}")
+        raise AssertionError(f"padding invalid at the flat level {n}")
     return g
 
 
@@ -188,12 +224,13 @@ def stable_kronecker(lam, mu, nu, max_n: int | None = None) -> tuple[int, int]:
     """The limit coefficient and the level n0 where the sequence is provably
     flat: n0 = max(2(|lam|+|mu|) - 1, first n with all paddings valid), the
     first n where degree 2(|lam|+|mu|) is semisimple and every padding fits.
-    When |nu| exceeds |lam| + |mu| the limit is zero.  Refused when n0
-    exceeds max_n (None: no bound), before any class sum."""
+    When |nu| exceeds |lam| + |mu| the limit is zero.  The limit is summed at
+    the flat level F <= n0.  Refused when n0 exceeds max_n (None: no bound),
+    before any class sum."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     n0 = _stable_level(lam, mu, nu)
     guard("stable level n0", n0, "max_n", max_n)
-    return _limit_at(lam, mu, nu, n0), n0
+    return _limit_at(lam, mu, nu, _flat_level(lam, mu, nu)), n0
 
 
 class MonotoneReport(NamedTuple):
@@ -206,19 +243,24 @@ class MonotoneReport(NamedTuple):
     first_flat: int | None  # least observed n with g_n at the limit already
     passed: bool
     violations: tuple[str, ...]
+    flat_at: int            # F, the level the limit was summed at
 
 
 def check_monotone(lam, mu, nu, n_max: int | None = None,
                    max_n: int | None = None) -> MonotoneReport:
-    """Verify g_n <= g_{n+1} <= stable limit on [0, n_max] (default n0 + 2).
-    Refused when n_max exceeds max_n (None: no bound), before any class sum."""
+    """Verify g_n <= g_{n+1} <= stable limit on [0, n_max] (default n0 + 2),
+    summing classes at every n; the limit is the entry at the flat level F,
+    or one more class sum when F exceeds n_max.  Refused when n_max exceeds
+    max_n (None: no bound), before any class sum."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     n0 = _stable_level(lam, mu, nu)
     if n_max is None:
         n_max = n0 + 2
     guard("n_max", n_max, "max_n", max_n)
-    stable = _limit_at(lam, mu, nu, n0)
-    entries = kronecker_sequence(lam, mu, nu, n_max)
+    entries = _literal_sequence(lam, mu, nu, n_max)
+    flat = _flat_level(lam, mu, nu)
+    stable = (entries[flat].g if flat <= n_max
+              else _limit_at(lam, mu, nu, flat))
     violations = []
     for prev, cur in zip(entries, entries[1:]):
         if prev.g > cur.g:
@@ -236,4 +278,4 @@ def check_monotone(lam, mu, nu, n_max: int | None = None,
             first_flat = e.n
             break
     return MonotoneReport(lam, mu, nu, tuple(entries), stable, n0,
-                          first_flat, not violations, tuple(violations))
+                          first_flat, not violations, tuple(violations), flat)

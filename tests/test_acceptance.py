@@ -13,8 +13,8 @@ from partalg.branching import (Vertex, cell_dimension, enumerate_paths,
                                vertices_at_level)
 from partalg.diagrams import AlgebraElement, enumerate_diagrams, parse_element
 from partalg.kronecker import (_character, check_monotone, class_size,
-                               kronecker_coefficient, kronecker_sequence,
-                               mn_character, stable_kronecker)
+                               kronecker_coefficient, mn_character,
+                               padded_kronecker, stable_kronecker)
 from partalg.modules import (decomposition_row, simple_dimension,
                              _simple_dimension)
 from partalg.oracles import (brute_force_linkage_classes, content_vector,
@@ -83,8 +83,8 @@ def test_criterion_04_kronecker_tables_and_stabilization(capsys):
     stable_ok = True
     for nu in reduced:
         g, n0 = stable_kronecker((1,), (1,), nu)
-        entries = kronecker_sequence((1,), (1,), nu, max(8, n0 + 2))
-        flat_from_4 = all(e.g == g for e in entries if e.n >= 4)
+        flat_from_4 = all(padded_kronecker((1,), (1,), nu, n) == (g, True)
+                          for n in range(4, max(8, n0 + 2) + 1))
         stable_ok = stable_ok and g == 1 and n0 <= 4 and flat_from_4
     vanish, _ = stable_kronecker((1,), (1,), (3,))
     ok = tables_ok and stable_ok and vanish == 0

@@ -158,3 +158,6 @@ def test_mult_reports_malformed_diagrams_in_diagram_terms():
     assert err == "error: malformed diagram \"[[1,1']]+[[1],[1']]\"\n"
     assert run(["mult", "--k", "2", "--a", "[[1,3']]", "--b", "[[1,1']]"]) == (
         1, "", "error: point 3' out of range for 1 dots\n")
+    for a in ("[[1,-1]]", "[[+1,1_0']]", "[[\u0661,1']]", "[[1'',1]]"):
+        assert run(["mult", "--k", "2", "--a", a, "--b", "[[1,1']]"]) == (
+            1, "", f"error: malformed diagram {a!r}\n")

@@ -61,6 +61,17 @@ def test_parse_errors_speak_of_diagrams_and_primed_points():
         parse_diagram("[[1,1'],[1']]")
 
 
+def test_point_tokens_are_ascii_digits_with_an_optional_prime():
+    # int() reads the digits of the first four; none of them is a point
+    for tok in ("-1", "+1", "1_0'", "\u0661", "1''", "'"):
+        text = f"[[{tok},1']]"
+        with pytest.raises(ValueError) as exc:
+            parse_diagram(text)
+        assert str(exc.value) == f"malformed diagram {text!r}"
+    ten = identity_diagram(10)   # two-digit points still parse
+    assert parse_diagram(format_diagram(ten)) == ten
+
+
 def test_bool_points_rejected():
     # True == 1 as an int, but it is not a point
     with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
 """Characters of symmetric groups, Kronecker coefficients, the stable limit."""
 
+import random
 from math import factorial
 
 import pytest
 
+import partalg.cli as cli
+import partalg.kronecker as kron
+
 from partalg.errors import ResourceLimitError
-from partalg.kronecker import (check_monotone, class_size,
+from partalg.kronecker import (SequenceEntry, check_monotone, class_size,
                                character_degree, first_padded_n,
                                kronecker_coefficient, kronecker_sequence,
                                mn_character, pad, padded_kronecker,
@@ -168,10 +172,11 @@ def test_stable_bounds_the_sequence():
                ((1, 1), (2,), (1, 1)), ((2,), (1, 1), (3,))]
     for lam, mu, nu in triples:
         stable, n0 = stable_kronecker(lam, mu, nu)
-        for entry in kronecker_sequence(lam, mu, nu, n0 + 2):
-            assert entry.g <= stable
-            if entry.n >= n0:
-                assert entry.g == stable
+        for n in range(n0 + 3):
+            g, _ = padded_kronecker(lam, mu, nu, n)
+            assert g <= stable
+            if n >= n0:
+                assert g == stable
 
 
 def test_monotone_reports():
@@ -215,3 +220,58 @@ def test_bounded_limits_refuse_before_any_class_sum(monkeypatch):
     monkeypatch.setattr(kron, "padded_kronecker", padded_kronecker)
     assert stable_kronecker((2, 1), (2, 1), (2, 1), max_n=11) == (9, 11)
     assert check_monotone((2,), (2,), (2,), max_n=9).passed
+
+
+def _assert_sequence_is_literal(lam, mu, nu):
+    n0 = kron._stable_level(lam, mu, nu)
+    flat = kron._flat_level(lam, mu, nu)
+    assert first_padded_n(lam, mu, nu) <= flat <= n0
+    top = max(n0, flat) + 2
+    assert kronecker_sequence(lam, mu, nu, top) == [
+        SequenceEntry(n, *padded_kronecker(lam, mu, nu, n))
+        for n in range(top + 1)]
+
+
+def test_flat_level_matches_class_sums_on_small_triples():
+    shapes = list(partitions_up_to(3))
+    for lam in shapes:
+        for mu in shapes:
+            for nu in shapes:
+                _assert_sequence_is_literal(lam, mu, nu)
+
+
+def test_flat_level_matches_class_sums_on_sampled_triples():
+    rng = random.Random(2016)
+    shapes = list(partitions_of(4)) + list(partitions_of(5))
+    for _ in range(48):
+        _assert_sequence_is_literal(*(rng.choice(shapes) for _ in range(3)))
+
+
+def test_verbs_sum_classes_only_up_to_the_flat_level(monkeypatch):
+    levels = []   # the n of every class sum, in call order
+
+    def counted(lam, mu, nu, n):
+        levels.append(n)
+        return padded_kronecker(lam, mu, nu, n)
+
+    monkeypatch.setattr(kron, "padded_kronecker", counted)
+    triple = ((2, 1), (2, 1), (1,))
+    flat = kron._flat_level(*triple)
+    assert (flat, kron._stable_level(*triple)) == (7, 11)
+    for n_max in (3, flat, 12):
+        levels.clear()
+        kronecker_sequence(*triple, n_max)
+        assert levels == list(range(min(n_max, flat) + 1))
+    for n in (4, flat, 12):
+        levels.clear()
+        assert cli.main(["kronecker", "--lambda", "2,1", "--mu", "2,1",
+                         "--nu", "1", "--n", str(n), "--max-n", "12"]) == 0
+        assert levels == [min(n, flat)]
+    levels.clear()
+    assert stable_kronecker(*triple) == (padded_kronecker(*triple, 11)[0], 11)
+    assert levels == [flat]
+    for n_max in (3, 13):
+        levels.clear()
+        report = check_monotone(*triple, n_max)
+        assert report.flat_at == flat
+        assert levels == list(range(n_max + 1)) + ([flat] if n_max < flat else [])
