@@ -16,8 +16,7 @@ from .diagrams import (AlgebraElement, Diagram, compose, dots_for_level,
                        identity_diagram, parse_diagram, parse_element)
 from .dot import emit_dot
 from .errors import InternalCheckError, ResourceLimitError
-from .geometry import (AlcovePosition, EmbeddedPoint, classify, embed,
-                       embedded_path, reflect, reflected_vertex)
+from .geometry import AlcovePosition, position, reflected_vertex
 from .kronecker import (character_degree, check_monotone, class_size,
                         first_padded_n, kronecker_coefficient,
                         kronecker_sequence, mn_character, pad,
@@ -26,11 +25,12 @@ from .modules import (BlockChain, block_chain, blocks_at_level,
                       decomposition_row, permissible_paths,
                       radical_dimension, restrict_cell, restrict_simple,
                       simple_dimension)
-from .oracles import (ContentValue, brute_force_linkage_classes,
-                      content_vector, edge_case, first_semisimple_n,
+from .oracles import (ContentValue, EmbeddedPoint,
+                      brute_force_linkage_classes, classify, content_vector,
+                      edge_case, embed, embedded_path, first_semisimple_n,
                       geometric_residue_equivalent, is_n_pair,
                       is_permissible, is_semisimple, linkage_classes,
-                      npair_reflection_equiv, residue_equivalent,
+                      npair_reflection_equiv, reflect, residue_equivalent,
                       residue_vector, run_selftest,
                       simple_dimension_by_alternating_sum,
                       simple_dimension_by_paths, step_residues)
@@ -58,9 +58,10 @@ __all__ = [
     "npair_reflection_equiv", "pad", "padded_kronecker", "parents",
     "parse_diagram", "parse_element", "parse_partition", "parse_path",
     "parse_zpoly", "partitions_of", "partitions_up_to", "path_succ",
-    "permissible_paths", "radical_dimension", "reflect", "reflected_vertex",
-    "removable_nodes", "residue_equivalent", "residue_vector",
-    "restrict_cell", "restrict_simple", "run_selftest", "simple_dimension",
+    "permissible_paths", "position", "radical_dimension", "reflect",
+    "reflected_vertex", "removable_nodes", "residue_equivalent",
+    "residue_vector", "restrict_cell", "restrict_simple", "run_selftest",
+    "simple_dimension",
     "simple_dimension_by_alternating_sum", "simple_dimension_by_paths",
     "stable_kronecker", "step_residues", "truncate", "vertex",
     "vertices_at_level",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .branching import Vertex, parents, vertices_at_level
-from .geometry import classify, embed
+from .geometry import position
 from .partitions import format_partition
 
 # alcove index -> fill, cycled past the end
@@ -34,7 +34,7 @@ def emit_dot(k: int, n: int) -> str:
         verts = vertices_at_level(level)
         walls = []
         for v in verts:
-            pos = classify(embed(v, n))
+            pos = position(v, n)
             label = f"{format_partition(v.shape)}@{level}"
             if pos.kind == "wall":
                 shape, extra = "box", f" wall {pos.index}"

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .branching import (Path, Vertex, cell_dimension, enumerate_paths,
                         parents, vertices_at_level)
 from .errors import DEFAULT_MAX_LEVEL, guard
-from .geometry import classify, embed, reflected_vertex
+from .geometry import position, reflected_vertex
 
 
 class BlockChain(NamedTuple):
@@ -44,7 +44,7 @@ class BlockChain(NamedTuple):
 
 
 def block_chain(v: Vertex, n: int) -> BlockChain:
-    pos = classify(embed(v, n))
+    pos = position(v, n)
     if pos.kind == "wall":
         return BlockChain((v,), ())
     # walk down to alcove 1: the swap s_{0,a-1}, ..., s_{0,1} images always
@@ -94,14 +94,14 @@ def _simple_parents(v: Vertex, n: int) -> list[Vertex] | None:
     """The parents that the simple module of v restricts to: for v in alcove
     j, those in alcove j or on the facing wall j - 1 (walls start at 1).
     None where the simple module is the whole cell module: on a wall, and at
-    level 0.  v is placed before the level test, so embed refuses a negative
-    n at level 0 too."""
-    pos = classify(embed(v, n))
+    level 0.  v is placed before the level test, so position refuses a
+    negative n at level 0 too."""
+    pos = position(v, n)
     if v.level == 0 or pos.kind == "wall":
         return None
     j = pos.index
     return [u for u in parents(v)
-            if classify(embed(u, n)) in (("alcove", j), ("wall", j - 1))]
+            if position(u, n) in (("alcove", j), ("wall", j - 1))]
 
 
 @cache

@@ -6,12 +6,18 @@ content and residue vectors of paths, the path-level definition of
 permissibility, two more simple-dimension counts, semisimplicity as a scan
 over block chains (the reference for the closed-form stable level of
 kronecker.py), linkage as the closure of shared residue vectors, and the
-lemmas of the alcove geometry.  The checks compare these with production on
-small exhaustive ranges; the CLI selftest verb runs them all and the test
-suite reuses them.  Also kept: the recursive enumeration of partitions and
-the shape-based border-strip recursion for characters with the class sum
+staircase coordinate model of the alcove geometry with its lemmas.  The
+checks compare these with production on small exhaustive ranges; the CLI
+selftest verb runs them all, and the test suite checks the same properties
+with loops of its own.  Also kept: the recursive enumeration of partitions
+and the shape-based border-strip recursion for characters with the class sum
 built on it, which the test suite holds the production routes of
 partitions.py and kronecker.py to.
+
+The coordinate model embeds a vertex (lam, k) at parameter n as the point
+(h | lam_1 - 1, lam_2 - 2, ...), h the head of geometry.py.  Swapping the
+head with entry j is the reflection s_{0,j}, and a branching edge moves the
+point by one unit in one coordinate.
 
 Each step of a path carries a content value, a linear polynomial in z:
 
@@ -27,6 +33,7 @@ the linkage classes are the block chains of modules.py.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from math import factorial
@@ -35,7 +42,7 @@ from typing import Callable, Iterator, NamedTuple
 from .branching import (Path, Vertex, cell_dimension, check_path,
                         enumerate_paths, parents, vertices_at_level)
 from .errors import DEFAULT_MAX_LEVEL, InternalCheckError, guard
-from .geometry import EmbeddedPoint, classify, embed, embedded_path, reflect
+from .geometry import AlcovePosition, head, position
 from .kronecker import class_size
 from .modules import _vanishes, block_chain, blocks_at_level, simple_dimension
 from .partitions import Partition, check_partition, node_content, row
@@ -105,6 +112,59 @@ def residue_equivalent(s: Path, t: Path, n: int) -> bool:
 
 
 # --- alcove geometry ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class EmbeddedPoint:
+    """phi_n of a vertex: head coordinate plus the staircase of the shape."""
+
+    head: int
+    shape: Partition
+    level: int
+    n: int
+
+    def coord(self, i: int) -> int:
+        if i < 0:
+            raise ValueError("coordinate index must be nonnegative")
+        if i == 0:
+            return self.head
+        return row(self.shape, i) - i
+
+    @property
+    def extent(self) -> int:
+        """Beyond this index every coordinate equals -i."""
+        return len(self.shape)
+
+    def coords(self, upto: int) -> tuple[int, ...]:
+        return tuple(self.coord(i) for i in range(upto + 1))
+
+    def __str__(self):
+        upto = max(self.extent + 1, 2)
+        body = ",".join(str(self.coord(i)) for i in range(1, upto + 1))
+        return f"({self.coord(0)} | {body},...)"
+
+
+def embed(v: Vertex, n: int) -> EmbeddedPoint:
+    return EmbeddedPoint(head(v, n), v.shape, v.level, n)
+
+
+def classify(x: EmbeddedPoint) -> AlcovePosition:
+    """The wall or alcove of x, located on the shape it embeds."""
+    return position(Vertex(x.shape, x.level), x.n)
+
+
+def reflect(x: EmbeddedPoint, j: int) -> tuple[int, ...]:
+    """Coordinates of s_{0,j}(x), as a prefix; beyond it coordinates are -i."""
+    if j < 1:
+        raise ValueError("reflection index must be at least 1")
+    upto = max(x.extent, j) + 1
+    coords = list(x.coords(upto))
+    coords[0], coords[j] = coords[j], coords[0]
+    return tuple(coords)
+
+
+def embedded_path(t: Path, n: int) -> list[EmbeddedPoint]:
+    return [embed(Vertex(shape, i), n) for i, shape in enumerate(t)]
+
 
 def reflection_equal(x: EmbeddedPoint, y: EmbeddedPoint, j: int) -> bool:
     """True when y = s_{0,j}(x)."""

@@ -33,17 +33,17 @@ def check_partition(parts) -> Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "2,1" or "[2,1]"; "" and "[]" denote the empty partition."""
+    """Parse "2,1" or "[2,1]"; "" and "[]" denote the empty partition.
+    Parts are ASCII digits, with whitespace around them allowed."""
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         text = text[1:-1].strip()
     if not text:
         return ()
-    try:
-        parts = tuple(int(piece) for piece in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed partition {text!r}") from None
-    return check_partition(parts)
+    pieces = [piece.strip() for piece in text.split(",")]
+    if not all(p.isascii() and p.isdigit() for p in pieces):
+        raise ValueError(f"malformed partition {text!r}")
+    return check_partition(int(p) for p in pieces)
 
 
 def format_partition(lam: Partition) -> str:

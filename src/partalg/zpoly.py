@@ -120,7 +120,7 @@ class ZPoly:
     __repr__ = __str__
 
 
-_TERM = re.compile(r"^(?P<coef>\d+)?(?P<z>z(\^(?P<exp>\d+))?)?$")
+_TERM = re.compile(r"^(?P<coef>\d+)?(?P<z>z(\^(?P<exp>\d+))?)?$", re.ASCII)
 
 
 def parse_zpoly(text: str) -> ZPoly:

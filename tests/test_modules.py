@@ -4,12 +4,11 @@ restriction, semisimplicity."""
 import pytest
 
 from partalg.branching import Vertex, cell_dimension, vertices_at_level
-from partalg.geometry import classify, embed
 from partalg.modules import (block_chain, blocks_at_level, decomposition_row,
                              permissible_paths, radical_dimension,
                              restrict_cell, restrict_simple, simple_dimension)
-from partalg.oracles import (first_semisimple_n, is_permissible,
-                             is_semisimple, reflection_index,
+from partalg.oracles import (classify, embed, first_semisimple_n,
+                             is_permissible, is_semisimple, reflection_index,
                              simple_dimension_by_alternating_sum,
                              simple_dimension_by_paths)
 

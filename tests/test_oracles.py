@@ -239,6 +239,20 @@ def test_only_cli_and_init_import_the_oracles():
         "cli", "__init__"}
     # the Kronecker layer stands on partitions alone
     assert imports["kronecker"] == {"errors", "partitions"}
+    # the alcove layer reads positions off shapes; the staircase coordinate
+    # model is an oracle, defined in oracles.py and re-exported only by the
+    # package root
+    assert imports["geometry"] == {"branching", "partitions"}
+    model = {"EmbeddedPoint", "embed", "classify", "reflect", "embedded_path"}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in model or path.stem == "oracles", (
+                    path.stem, node.name)
+            elif isinstance(node, ast.ImportFrom) and model & {
+                    a.name for a in node.names}:
+                assert (path.stem, node.module) == ("__init__", "oracles"), (
+                    path.stem, node.module)
     # the residue closure stays independent of the block chains it checks
     tree = ast.parse((PACKAGE / "oracles.py").read_text())
     chain_names = {a.asname or a.name for node in tree.body

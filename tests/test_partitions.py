@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from partalg.branching import parse_path
 from partalg.partitions import (addable_nodes, check_partition, dominates,
                                 format_partition, node_content,
                                 parse_partition, partitions_of,
@@ -39,6 +40,14 @@ def test_parse_and_format():
         parse_partition("1,2")
     with pytest.raises(ValueError):
         parse_partition("a,b")
+    assert parse_partition(" 1") == (1,)
+    assert parse_partition("1, 1") == (1, 1)
+    # \u0661 is the Arabic-Indic digit one
+    for text in ("1_0", "+1", "\u0661", "1,-1", "2,,1"):
+        with pytest.raises(ValueError, match="malformed partition"):
+            parse_partition(text)
+    with pytest.raises(ValueError, match="malformed partition"):
+        parse_path("[],[],[+1]")
 
 
 @given(partition_st)

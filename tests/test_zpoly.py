@@ -32,6 +32,9 @@ def test_parse():
         parse_zpoly("")
     with pytest.raises(ValueError):
         parse_zpoly("z**2")
+    for text in ("\u0663z", "z^\u0662"):   # Arabic-Indic digits 3 and 2
+        with pytest.raises(ValueError, match="malformed term"):
+            parse_zpoly(text)
 
 
 @given(poly_st)
