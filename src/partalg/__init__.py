@@ -8,9 +8,9 @@ their stable limits.
 """
 
 from .branching import (Path, Vertex, cell_dimension, check_path,
-                        dominance_geq, enumerate_paths, format_path, is_edge,
-                        parents, parse_path, path_succ, truncate, vertex,
-                        vertices_at_level)
+                        dominance_geq, enumerate_paths, format_path,
+                        format_paths, is_edge, parents, parse_path, path_succ,
+                        truncate, vertex, vertices_at_level)
 from .diagrams import (AlgebraElement, Diagram, compose, dots_for_level,
                        embed_up, enumerate_diagrams, format_diagram,
                        identity_diagram, parse_diagram, parse_element)
@@ -52,6 +52,7 @@ __all__ = [
     "edge_case", "embed", "embed_up", "embedded_path", "emit_dot",
     "enumerate_diagrams", "enumerate_paths", "first_padded_n",
     "first_semisimple_n", "format_diagram", "format_partition", "format_path",
+    "format_paths",
     "geometric_residue_equivalent", "identity_diagram", "is_edge",
     "is_n_pair", "is_permissible", "is_semisimple", "kronecker_coefficient",
     "kronecker_sequence", "linkage_classes", "mn_character", "node_content",

@@ -15,6 +15,7 @@ enumerate_paths returns them in descending order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 from typing import NamedTuple
 
@@ -153,8 +154,15 @@ def path_succ(s: Path, t: Path) -> bool:
     return False
 
 
+def format_paths(paths: Sequence[Path]) -> list[str]:
+    """Each path as "[],[],[1],[1]", rendering each distinct shape once."""
+    pieces = {s: "[" + ",".join(map(str, s)) + "]"
+              for s in set().union(*paths)}
+    return [",".join(map(pieces.__getitem__, t)) for t in paths]
+
+
 def format_path(t: Path) -> str:
-    return ",".join("[" + (format_partition(s) if s else "") + "]" for s in t)
+    return format_paths((t,))[0]
 
 
 def parse_path(text: str) -> Path:

@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from .branching import (cell_dimension, enumerate_paths, format_path, vertex,
+from .branching import (cell_dimension, enumerate_paths, format_paths, vertex,
                         vertices_at_level)
 from .diagrams import enumerate_diagrams, format_diagram, parse_element
 from .dot import emit_dot
@@ -69,7 +69,7 @@ def cmd_paths(args) -> None:
     v = vertex(args.lam, args.k)
     paths = enumerate_paths(v, max_level=args.max_k)
     _emit({"vertex": _vertex_json(v), "count": len(paths),
-           "paths": [format_path(t) for t in paths]})
+           "paths": format_paths(paths)})
 
 
 def cmd_dims(args) -> None:
@@ -129,7 +129,7 @@ def cmd_permissible(args) -> None:
     v = vertex(args.lam, args.k)
     paths = permissible_paths(v, args.n, max_level=args.max_k)
     _emit({"vertex": _vertex_json(v), "n": args.n, "count": len(paths),
-           "paths": [format_path(t) for t in paths]})
+           "paths": format_paths(paths)})
 
 
 def cmd_kronecker(args) -> None:

@@ -30,8 +30,9 @@ def emit_dot(k: int, n: int) -> str:
         "  rankdir = BT;",
         "  node [style = filled];",
     ]
-    for level in range(k + 1):
-        verts = vertices_at_level(level)
+    levels = [vertices_at_level(level) for level in range(k + 1)]
+    ids = {v: _node_id(v) for verts in levels for v in verts}
+    for level, verts in enumerate(levels):
         walls = []
         for v in verts:
             pos = position(v, n)
@@ -43,18 +44,18 @@ def emit_dot(k: int, n: int) -> str:
                 shape, extra = "ellipse", f" alcove {pos.index}"
             fill = PALETTE[(pos.index - 1) % len(PALETTE)]
             lines.append(
-                f'  {_node_id(v)} [label="{label}{extra}", shape={shape}, '
+                f'  {ids[v]} [label="{label}{extra}", shape={shape}, '
                 f'fillcolor={fill}];')
         lines.append("  { rank = same; "
-                     + " ".join(f"{_node_id(v)};" for v in verts) + " }")
+                     + " ".join(f"{ids[v]};" for v in verts) + " }")
         if walls:
             lines.append("  // ---- level %d walls: %s ----" % (
                 level, ", ".join(
                     f"{format_partition(v.shape)} on wall {j}"
                     for v, j in walls)))
-    for level in range(1, k + 1):
-        for v in vertices_at_level(level):
+    for verts in levels[1:]:
+        for v in verts:
             for u in parents(v):
-                lines.append(f"  {_node_id(u)} -> {_node_id(v)};")
+                lines.append(f"  {ids[u]} -> {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

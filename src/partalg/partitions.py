@@ -50,7 +50,7 @@ def format_partition(lam: Partition) -> str:
     """Inverse of parse_partition; the empty partition prints as "[]"."""
     if not lam:
         return "[]"
-    return ",".join(str(p) for p in lam)
+    return ",".join(map(str, lam))
 
 
 def row(lam: Partition, i: int) -> int:

@@ -120,7 +120,7 @@ class ZPoly:
     __repr__ = __str__
 
 
-_TERM = re.compile(r"^(?P<coef>\d+)?(?P<z>z(\^(?P<exp>\d+))?)?$", re.ASCII)
+_TERM = re.compile(r"(?P<coef>\d+)?(?P<z>z(\^(?P<exp>\d+))?)?", re.ASCII)
 
 
 def parse_zpoly(text: str) -> ZPoly:
@@ -138,7 +138,7 @@ def parse_zpoly(text: str) -> ZPoly:
         if term[0] in "+-":
             sign = -1 if term[0] == "-" else 1
             term = term[1:]
-        m = _TERM.match(term)
+        m = _TERM.fullmatch(term)
         if not m or (m.group("coef") is None and m.group("z") is None):
             raise ValueError(f"malformed term {term!r}")
         coef = int(m.group("coef")) if m.group("coef") else 1

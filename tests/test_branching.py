@@ -5,11 +5,13 @@ from hypothesis import given, strategies as st
 
 from partalg.branching import (Vertex, cell_dimension, check_path,
                                dominance_geq, enumerate_paths, format_path,
-                               is_edge, parents, parse_path, path_endpoint,
-                               path_succ, truncate, vertex, vertices_at_level)
+                               format_paths, is_edge, parents, parse_path,
+                               path_endpoint, path_succ, truncate, vertex,
+                               vertices_at_level)
 from partalg.errors import ResourceLimitError
-from partalg.partitions import (addable_nodes, is_partition, removable_nodes,
-                                row, strictly_dominates)
+from partalg.modules import permissible_paths
+from partalg.partitions import (addable_nodes, format_partition, is_partition,
+                                removable_nodes, row, strictly_dominates)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -185,6 +187,27 @@ def test_format_parse_paths():
     assert parse_path(text) == t
     s = ((), (), (1,), (1,), (2,), (2,), (3,))
     assert parse_path(format_path(s)) == s
+    assert format_paths([]) == []
+
+
+def test_format_paths_matches_per_shape_rendering():
+    """One shape table per call renders every path as the per-shape
+    rendering does, for all paths and all permissible paths to k <= 10."""
+    def reference(t):
+        return ",".join("[" + (format_partition(s) if s else "") + "]"
+                        for s in t)
+
+    families = []
+    for k in range(11):
+        for v in vertices_at_level(k):
+            families.append(enumerate_paths(v))
+            families += [permissible_paths(v, n) for n in range(7)]
+    for paths in families:
+        texts = format_paths(paths)
+        assert texts == [reference(t) for t in paths]
+        for t, text in zip(paths, texts):
+            assert format_path(t) == text
+            assert parse_path(text) == t
 
 
 def test_dominance_geq_needs_same_level():

@@ -240,6 +240,13 @@ def test_domain_error_exit_code(capsys):
                      "--a", "[[1,2],[1',2']]", "--b", "[[1,2],[1',2']]")
     assert rc == 1
     assert "error:" in err
+    # a newline inside a coefficient is a malformed term, not whitespace
+    for coef in ("(3\n)", "(z\n+1)"):
+        rc, out, err = run(capsys, "mult", "--k", "4",
+                           "--a", coef + "*[[1,1'],[2,2']]",
+                           "--b", "[[1,1'],[2,2']]")
+        assert (rc, out) == (1, "")
+        assert "malformed term" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -35,6 +35,9 @@ def test_parse():
     for text in ("\u0663z", "z^\u0662"):   # Arabic-Indic digits 3 and 2
         with pytest.raises(ValueError, match="malformed term"):
             parse_zpoly(text)
+    for text in ("z\n+1", "3\n", "z^2\n-z"):   # a term ends at its last digit
+        with pytest.raises(ValueError, match="malformed term"):
+            parse_zpoly(text)
 
 
 @given(poly_st)
