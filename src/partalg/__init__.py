@@ -25,9 +25,9 @@ from .modules import (BlockChain, block_chain, blocks_at_level,
                       decomposition_row, permissible_paths,
                       radical_dimension, restrict_cell, restrict_simple,
                       simple_dimension)
-from .oracles import (ContentValue, EmbeddedPoint,
-                      brute_force_linkage_classes, classify, content_vector,
-                      edge_case, embed, embedded_path, first_semisimple_n,
+from .oracles import (EmbeddedPoint, brute_force_linkage_classes, classify,
+                      content_vector, edge_case, embed, embedded_path,
+                      first_semisimple_n,
                       geometric_residue_equivalent, is_n_pair,
                       is_permissible, is_semisimple, linkage_classes,
                       npair_reflection_equiv, reflect, residue_equivalent,
@@ -42,8 +42,8 @@ from .zpoly import ZPoly, parse_zpoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlcovePosition", "AlgebraElement", "BlockChain", "ContentValue",
-    "Diagram", "EmbeddedPoint", "InternalCheckError", "Path",
+    "AlcovePosition", "AlgebraElement", "BlockChain", "Diagram",
+    "EmbeddedPoint", "InternalCheckError", "Path",
     "ResourceLimitError", "Vertex", "ZPoly", "addable_nodes",
     "block_chain", "blocks_at_level", "brute_force_linkage_classes",
     "cell_dimension", "character_degree", "check_monotone", "check_path",

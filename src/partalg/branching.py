@@ -166,11 +166,13 @@ def format_path(t: Path) -> str:
 
 
 def parse_path(text: str) -> Path:
-    """Parse "[],[],[1],[1]" into a validated path."""
+    """Parse "[],[],[1],[1]" into a validated path.  A "]" with no open "[",
+    a "[" still open at the end, or an empty shape between commas is a
+    malformed path."""
     text = text.strip()
     if not text:
         raise ValueError("empty path")
-    shapes = []
+    pieces = []
     depth = 0
     start = 0
     for i, ch in enumerate(text + ","):
@@ -178,7 +180,11 @@ def parse_path(text: str) -> Path:
             depth += 1
         elif ch == "]":
             depth -= 1
+            if depth < 0:
+                break
         elif ch == "," and depth == 0:
-            shapes.append(parse_partition(text[start:i]))
+            pieces.append(text[start:i].strip())
             start = i + 1
-    return check_path(shapes)
+    if depth or "" in pieces:
+        raise ValueError(f"malformed path {text!r}")
+    return check_path([parse_partition(p) for p in pieces])

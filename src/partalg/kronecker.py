@@ -110,27 +110,17 @@ def character_degree(shape: Partition) -> int:
     return mn_character(shape, (1,) * sum(shape)) if shape else 1
 
 
-class PaddedPartition(NamedTuple):
-    """lam_[n]: first row n - |lam| on top of lam; valid when that fits."""
-
-    base: Partition
-    n: int
-    padded: Partition | None
-
-    @property
-    def valid(self) -> bool:
-        return self.padded is not None
-
-
-def pad(lam: Partition, n: int) -> PaddedPartition:
+def pad(lam: Partition, n: int) -> Partition | None:
+    """lam_[n]: first row n - |lam| on top of lam, or None when that row
+    would be shorter than lam_1, i.e. when n < |lam| + lam_1.  The padding
+    of () at 0 is (), which is falsy, so test the result with `is None`."""
     lam = check_partition(lam)
     if n < 0:
         raise ValueError("parameter n must be a nonnegative integer")
     head = n - sum(lam)
     if head < (lam[0] if lam else 0):
-        return PaddedPartition(lam, n, None)
-    padded = (head,) + lam if head else lam
-    return PaddedPartition(lam, n, padded)
+        return None
+    return (head,) + lam if head else lam
 
 
 def kronecker_coefficient(a: Partition, b: Partition, c: Partition) -> int:
@@ -158,9 +148,9 @@ def kronecker_coefficient(a: Partition, b: Partition, c: Partition) -> int:
 def padded_kronecker(lam: Partition, mu: Partition, nu: Partition, n: int) -> tuple[int, bool]:
     """g at one n: (value, all-paddings-valid); invalid padding reports 0."""
     pl, pm, pn = pad(lam, n), pad(mu, n), pad(nu, n)
-    if not (pl.valid and pm.valid and pn.valid):
+    if pl is None or pm is None or pn is None:
         return 0, False
-    return kronecker_coefficient(pl.padded, pm.padded, pn.padded), True
+    return kronecker_coefficient(pl, pm, pn), True
 
 
 def kronecker_at(lam, mu, nu, n: int) -> tuple[int, bool]:

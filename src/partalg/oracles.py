@@ -19,7 +19,7 @@ The coordinate model embeds a vertex (lam, k) at parameter n as the point
 head with entry j is the reflection s_{0,j}, and a branching edge moves the
 point by one unit in one coordinate.
 
-Each step of a path carries a content value, a linear polynomial in z:
+Each step of a path carries a content, a ZPoly of degree at most one:
 
     into an even level: z - |shape|                 if the shape is kept,
                         col - row of the added node if one is added;
@@ -33,7 +33,6 @@ the linkage classes are the block chains of modules.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from math import factorial
@@ -46,6 +45,7 @@ from .geometry import AlcovePosition, head, position
 from .kronecker import class_size
 from .modules import _vanishes, block_chain, blocks_at_level, simple_dimension
 from .partitions import Partition, check_partition, node_content, row
+from .zpoly import ZPoly
 
 SAME_ALCOVE = "same_alcove"
 WALL_J = "wall_j"
@@ -53,24 +53,6 @@ WALL_J_MINUS_1 = "wall_j_minus_1"
 
 
 # --- contents and residues ---------------------------------------------------
-
-class ContentValue(NamedTuple):
-    """constant + zcoeff * z, with zcoeff either 0 or 1."""
-
-    constant: int
-    zcoeff: int
-
-    def at(self, n: int) -> int:
-        return self.constant + self.zcoeff * n
-
-    def __str__(self):
-        if self.zcoeff == 0:
-            return str(self.constant)
-        z = "z" if self.zcoeff == 1 else f"{self.zcoeff}z"
-        if self.constant == 0:
-            return z
-        return f"{z}{self.constant:+d}"
-
 
 def _added_node(small, large):
     rows = max(len(small), len(large)) or 1
@@ -82,19 +64,19 @@ def _added_node(small, large):
     raise ValueError(f"{large} is not {small} plus one node")
 
 
-def edge_content(prev: Partition, cur: Partition, level: int) -> ContentValue:
+def edge_content(prev: Partition, cur: Partition, level: int) -> ZPoly:
     """Content of the branching edge from prev on level - 1 to cur on level."""
     if level % 2 == 0:
         if cur == prev:
-            return ContentValue(-sum(cur), 1)
-        return ContentValue(node_content(_added_node(prev, cur)), 0)
+            return ZPoly((-sum(cur), 1))
+        return ZPoly.const(node_content(_added_node(prev, cur)))
     if cur == prev:
-        return ContentValue(sum(cur), 0)
-    return ContentValue(-node_content(_added_node(cur, prev)), 1)
+        return ZPoly.const(sum(cur))
+    return ZPoly((-node_content(_added_node(cur, prev)), 1))
 
 
-def content_vector(t: Path) -> tuple[ContentValue, ...]:
-    """One content value per step of the path."""
+def content_vector(t: Path) -> tuple[ZPoly, ...]:
+    """One content per step of the path."""
     t = check_path(t)
     return tuple(edge_content(t[i - 1], t[i], i) for i in range(1, len(t)))
 
@@ -102,7 +84,7 @@ def content_vector(t: Path) -> tuple[ContentValue, ...]:
 def residue_vector(t: Path, n: int) -> tuple[int, ...]:
     if n < 0:
         raise ValueError("parameter n must be a nonnegative integer")
-    return tuple(c.at(n) for c in content_vector(t))
+    return tuple(c(n) for c in content_vector(t))
 
 
 def residue_equivalent(s: Path, t: Path, n: int) -> bool:
@@ -113,8 +95,7 @@ def residue_equivalent(s: Path, t: Path, n: int) -> bool:
 
 # --- alcove geometry ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmbeddedPoint:
+class EmbeddedPoint(NamedTuple):
     """phi_n of a vertex: head coordinate plus the staircase of the shape."""
 
     head: int
@@ -328,11 +309,10 @@ def is_permissible(t: Path, n: int) -> bool:
     raise AssertionError("path start cannot lie in an alcove j >= 2")
 
 
-def simple_dimension_by_paths(v: Vertex, n: int,
-                              max_level: int = DEFAULT_MAX_LEVEL) -> int:
+def simple_dimension_by_paths(v: Vertex, n: int) -> int:
     """Dimension of the simple module of v, counted as the paths to v that
     pass is_permissible."""
-    return sum(is_permissible(t, n) for t in enumerate_paths(v, max_level))
+    return sum(is_permissible(t, n) for t in enumerate_paths(v))
 
 
 def simple_dimension_by_alternating_sum(v: Vertex, n: int) -> int:
@@ -409,7 +389,7 @@ def brute_force_linkage_classes(k: int, n: int,
         for v in vertices_at_level(level):
             out = vectors[v] = set()
             for u in parents(v):
-                step = (edge_content(u.shape, v.shape, level).at(n),)
+                step = (edge_content(u.shape, v.shape, level)(n),)
                 out.update(r + step for r in below[u])
     verts = list(vectors)
     index = {v: i for i, v in enumerate(verts)}
@@ -502,13 +482,14 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def check_step_residues(max_k: int = 7, max_n: int = 4) -> CheckResult:
-    """Geometric step residues must equal content vectors at z = n."""
+def check_step_residues() -> CheckResult:
+    """Geometric step residues must equal content vectors at z = n, for
+    k <= 7 and n <= 4."""
     count = 0
-    for k in range(max_k + 1):
+    for k in range(8):
         for v in vertices_at_level(k):
             for t in enumerate_paths(v):
-                for n in range(max_n + 1):
+                for n in range(5):
                     count += 1
                     if step_residues(t, n) != residue_vector(t, n):
                         return CheckResult(
@@ -517,12 +498,13 @@ def check_step_residues(max_k: int = 7, max_n: int = 4) -> CheckResult:
     return CheckResult("step_residues", True, f"{count} path/parameter pairs")
 
 
-def check_geometric_equivalence(max_k: int = 6, max_n: int = 4) -> CheckResult:
-    """Wall-interval test must match raw residue-vector equality."""
+def check_geometric_equivalence() -> CheckResult:
+    """Wall-interval test must match raw residue-vector equality, for k <= 6
+    and n <= 4."""
     count = 0
-    for k in range(max_k + 1):
+    for k in range(7):
         paths = [t for v in vertices_at_level(k) for t in enumerate_paths(v)]
-        for n in range(max_n + 1):
+        for n in range(5):
             vectors = {t: residue_vector(t, n) for t in paths}
             for s, t in combinations(paths, 2):
                 count += 1
@@ -533,24 +515,24 @@ def check_geometric_equivalence(max_k: int = 6, max_n: int = 4) -> CheckResult:
     return CheckResult("geometric_equivalence", True, f"{count} path pairs")
 
 
-def check_linkage(max_k: int = 7, max_n: int = 4) -> CheckResult:
+def check_linkage() -> CheckResult:
     """Block chains must reproduce the residue-vector linkage closure."""
-    for k in range(max_k + 1):
-        for n in range(max_n + 1):
+    for k in range(8):
+        for n in range(5):
             try:
                 linkage_classes(k, n, verify=True)
             except InternalCheckError as exc:
                 return CheckResult("linkage", False, str(exc))
-    return CheckResult("linkage", True,
-                       f"levels 0..{max_k}, n 0..{max_n}")
+    return CheckResult("linkage", True, "levels 0..7, n 0..4")
 
 
-def check_simple_dimensions(max_k: int = 8, max_n: int = 6) -> CheckResult:
-    """The three simple-dimension algorithms must agree everywhere."""
+def check_simple_dimensions() -> CheckResult:
+    """The three simple-dimension algorithms must agree, for k <= 8 and
+    n <= 6."""
     count = 0
-    for k in range(max_k + 1):
+    for k in range(9):
         for v in vertices_at_level(k):
-            for n in range(max_n + 1):
+            for n in range(7):
                 count += 1
                 a = simple_dimension_by_paths(v, n)
                 b = simple_dimension(v, n)
@@ -563,18 +545,17 @@ def check_simple_dimensions(max_k: int = 8, max_n: int = 6) -> CheckResult:
     return CheckResult("simple_dimensions", True, f"{count} vertex/parameter pairs")
 
 
-def check_bell_identity(max_k: int = 10) -> CheckResult:
-    """Sum of squared cell dimensions at level k is the k-th Bell number."""
-    bell, triangle_row = [1], [1]   # Bell triangle
-    for _ in range(max_k):
-        triangle_row = list(accumulate(triangle_row, initial=triangle_row[-1]))
-        bell.append(triangle_row[0])
-    for k in range(max_k + 1):
+def check_bell_identity() -> CheckResult:
+    """Sum of squared cell dimensions at level k is the k-th Bell number,
+    for k <= 10."""
+    triangle_row = [1]   # row k of the Bell triangle starts with B(k)
+    for k in range(11):
         total = sum(cell_dimension(v) ** 2 for v in vertices_at_level(k))
-        if total != bell[k]:
+        if total != triangle_row[0]:
             return CheckResult("bell_identity", False,
-                               f"level {k}: {total} != {bell[k]}")
-    return CheckResult("bell_identity", True, f"levels 0..{max_k}")
+                               f"level {k}: {total} != {triangle_row[0]}")
+        triangle_row = list(accumulate(triangle_row, initial=triangle_row[-1]))
+    return CheckResult("bell_identity", True, "levels 0..10")
 
 
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (

@@ -125,14 +125,23 @@ def test_size_mismatch_rejected():
 
 
 def test_padding():
-    assert pad((1,), 1).valid is False
-    assert pad((1,), 2).padded == (1, 1)
-    assert pad((2, 1), 5).padded == (2, 2, 1)
-    assert pad((), 0).padded == ()
-    assert pad((), 4).padded == (4,)
-    assert pad((3,), 5).valid is False
-    assert pad((3,), 6).padded == (3, 3)
+    assert pad((1,), 1) is None
+    assert pad((1,), 2) == (1, 1)
+    assert pad((2, 1), 5) == (2, 2, 1)
+    assert pad((), 0) == ()
+    assert pad((), 4) == (4,)
+    assert pad((3,), 5) is None
+    assert pad((3,), 6) == (3, 3)
     assert first_padded_n((1,), (2, 1), ()) == 5
+
+
+def test_padding_fails_exactly_below_the_first_padded_level():
+    for lam in partitions_up_to(8):
+        for n in range(21):
+            assert (pad(lam, n) is None) == (n < first_padded_n(lam, (), ())), \
+                (lam, n)
+    # () pads to the falsy () at 0, and that padding is valid
+    assert padded_kronecker((), (), (), 0) == (1, True)
 
 
 def test_padded_kronecker_reports_validity():

@@ -2,7 +2,10 @@
 import rule that keeps those routes out of production."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,7 +120,7 @@ def test_padded_class_sums_equal_the_full_oracle_sum():
     reduced = list(partitions_up_to(6))
     for n in range(12, 21):
         for _ in range(2):
-            triple = [pad(rng.choice(reduced), n).padded for _ in range(3)]
+            triple = [pad(rng.choice(reduced), n) for _ in range(3)]
             assert kronecker_coefficient(*triple) == \
                 kronecker_by_class_sum(*triple), triple
 
@@ -262,3 +265,14 @@ def test_only_cli_and_init_import_the_oracles():
     closure = _names_reached(tree, "brute_force_linkage_classes")
     assert chain_names and "edge_content" in closure
     assert not closure & chain_names
+
+
+def test_the_cli_starts_without_dataclasses():
+    # dataclasses would pull inspect, ast, dis and tokenize into every start;
+    # -S keeps site hooks from importing it first
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, partalg.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr

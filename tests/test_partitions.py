@@ -48,6 +48,9 @@ def test_parse_and_format():
             parse_partition(text)
     with pytest.raises(ValueError, match="malformed partition"):
         parse_path("[],[],[+1]")
+    for text in ("[],[1", "[],[],[1]]", "[],[]]", "[],,[]", "[],[],"):
+        with pytest.raises(ValueError, match="malformed path"):
+            parse_path(text)
 
 
 @given(partition_st)

@@ -3,9 +3,10 @@
 import pytest
 
 from partalg.branching import enumerate_paths, vertices_at_level
-from partalg.oracles import (ContentValue, brute_force_linkage_classes,
-                             content_vector, linkage_classes,
-                             residue_equivalent, residue_vector)
+from partalg.oracles import (brute_force_linkage_classes, content_vector,
+                             linkage_classes, residue_equivalent,
+                             residue_vector)
+from partalg.zpoly import ZPoly
 
 T = ((), (), (1,), (1,), (1,), (), ())
 S = ((), (), (1,), (1,), (2,), (2,), (3,))
@@ -17,11 +18,11 @@ def test_content_vector_worked_examples():
 
 
 def test_content_values_evaluate():
-    assert ContentValue(-1, 1).at(2) == 1
-    assert ContentValue(3, 0).at(7) == 3
-    assert str(ContentValue(0, 1)) == "z"
-    assert str(ContentValue(-1, 1)) == "z-1"
-    assert str(ContentValue(2, 1)) == "z+2"
+    assert ZPoly((-1, 1))(2) == 1
+    assert ZPoly.const(3)(7) == 3
+    assert str(ZPoly((0, 1))) == "z"
+    assert str(ZPoly((-1, 1))) == "z-1"
+    assert str(ZPoly((2, 1))) == "z+2"
 
 
 def test_residue_vectors_at_two():
