@@ -167,7 +167,8 @@ def format_path(t: Path) -> str:
 
 def parse_path(text: str) -> Path:
     """Parse "[],[],[1],[1]" into a validated path.  A "]" with no open "[",
-    a "[" still open at the end, or an empty shape between commas is a
+    a "[" still open at the end, or a shape between commas that is not
+    bracketed (empty, or a bare "1,1" that would split into two shapes) is a
     malformed path."""
     text = text.strip()
     if not text:
@@ -185,6 +186,6 @@ def parse_path(text: str) -> Path:
         elif ch == "," and depth == 0:
             pieces.append(text[start:i].strip())
             start = i + 1
-    if depth or "" in pieces:
+    if depth or not all(p.startswith("[") and p.endswith("]") for p in pieces):
         raise ValueError(f"malformed path {text!r}")
     return check_path([parse_partition(p) for p in pieces])

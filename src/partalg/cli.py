@@ -6,6 +6,8 @@ Every verb prints deterministic JSON (CSV where `--format csv` is asked for;
 
 Flags are read straight from the verb table (`VERBS`, `FLAGS`); argparse is
 built only for `--help` and usage errors, so its messages stay the only ones.
+The oracles are loaded only by `blocks --verify` and `selftest`, inside their
+handlers.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .errors import (DEFAULT_MAX_LEVEL, DEFAULT_MAX_N, InternalCheckError,
                      ResourceLimitError, guard)
 from .kronecker import (check_monotone, kronecker_at, kronecker_sequence,
                         stable_kronecker)
-from .modules import (decomposition_row, permissible_paths, radical_dimension,
-                      restrict_cell, restrict_simple, simple_dimension)
-from .oracles import linkage_classes, run_selftest
+from .modules import (blocks_at_level, decomposition_row, permissible_paths,
+                      radical_dimension, restrict_cell, restrict_simple,
+                      simple_dimension)
 from .partitions import format_partition, parse_partition
 
 
@@ -54,7 +56,7 @@ def _triple_json(lam, mu, nu) -> dict:
 
 
 def cmd_diagrams(args) -> None:
-    diags = enumerate_diagrams(args.k, max_level=args.max_k)
+    diags = enumerate_diagrams(args.k, max_level=None)
     _emit({"k": args.k, "count": len(diags),
            "diagrams": [format_diagram(d) for d in diags]})
 
@@ -67,7 +69,7 @@ def cmd_mult(args) -> None:
 
 def cmd_paths(args) -> None:
     v = vertex(args.lam, args.k)
-    paths = enumerate_paths(v, max_level=args.max_k)
+    paths = enumerate_paths(v, max_level=None)
     _emit({"vertex": _vertex_json(v), "count": len(paths),
            "paths": format_paths(paths)})
 
@@ -84,9 +86,11 @@ def cmd_dims(args) -> None:
 
 
 def cmd_blocks(args) -> None:
-    guard("level", args.k, "--max-k", args.max_k)
-    classes = linkage_classes(args.k, args.n, verify=args.verify,
-                              max_level=args.max_k)
+    if args.verify:
+        from .oracles import linkage_classes
+        classes = linkage_classes(args.k, args.n, max_level=None)
+    else:
+        classes = blocks_at_level(args.k, args.n)
     _emit({"k": args.k, "n": args.n, "verified": bool(args.verify),
            "classes": [[format_partition(v.shape) for v in c]
                        for c in classes]})
@@ -127,7 +131,7 @@ def cmd_restrict(args) -> None:
 
 def cmd_permissible(args) -> None:
     v = vertex(args.lam, args.k)
-    paths = permissible_paths(v, args.n, max_level=args.max_k)
+    paths = permissible_paths(v, args.n, max_level=None)
     _emit({"vertex": _vertex_json(v), "n": args.n, "count": len(paths),
            "paths": format_paths(paths)})
 
@@ -176,11 +180,11 @@ def cmd_monotone(args) -> None:
 
 
 def cmd_graph_dot(args) -> None:
-    guard("level", args.k, "--max-k", args.max_k)
     sys.stdout.write(emit_dot(args.k, args.n))
 
 
 def cmd_selftest(args) -> None:
+    from .oracles import run_selftest
     results = run_selftest()
     for r in results:
         print(f"{'ok' if r.ok else 'FAIL'} {r.name}: {r.detail}")
@@ -294,6 +298,9 @@ def main(argv=None) -> int:
         parser = build_parser(verb)
         args = parser.parse_args(argv)
     try:
+        # every verb that reads --max-k refuses a deeper level here, once
+        if "--max-k" in VERBS[args.verb][1]:
+            guard("level", args.k, "--max-k", args.max_k)
         args.fn(args)
     except argparse.ArgumentError as exc:
         (parser or build_parser(verb)).error(str(exc))

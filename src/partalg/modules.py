@@ -31,22 +31,16 @@ class BlockChain(NamedTuple):
     """Maximal swap chain through a vertex, sizes strictly increasing.
 
     chain[i] sits in alcove i+1, and the swap s_{0,i+1} carries it to
-    chain[i+1], so reflections[i] = i + 1.  A wall vertex is its own
-    singleton chain.
+    chain[i+1].  A wall vertex is its own one-member chain.
     """
 
     chain: tuple[Vertex, ...]
-    reflections: tuple[int, ...]
-
-    @property
-    def singleton(self) -> bool:
-        return len(self.chain) == 1
 
 
 def block_chain(v: Vertex, n: int) -> BlockChain:
     pos = position(v, n)
     if pos.kind == "wall":
-        return BlockChain((v,), ())
+        return BlockChain((v,))
     # walk down to alcove 1: the swap s_{0,a-1}, ..., s_{0,1} images always
     # read back as vertices (their shapes shrink)
     base = v
@@ -60,7 +54,7 @@ def block_chain(v: Vertex, n: int) -> BlockChain:
     chain = [base]
     while (up := reflected_vertex(chain[-1], n, len(chain))) is not None:
         chain.append(up)
-    return BlockChain(tuple(chain), tuple(range(1, len(chain))))
+    return BlockChain(tuple(chain))
 
 
 class DecompositionRow(NamedTuple):

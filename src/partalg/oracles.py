@@ -1,7 +1,8 @@
 """Independent routes, and the selftest checks that hold production to them.
 
-Each quantity has one production route elsewhere in the package; only cli.py
-and the package root import this module, as an ast test enforces.  Kept here:
+Each quantity has one production route elsewhere in the package.  No module
+imports this one at module level, as an ast test enforces: cli.py loads it
+inside the `blocks --verify` and `selftest` handlers only.  Kept here:
 content and residue vectors of paths, the path-level definition of
 permissibility, two more simple-dimension counts, semisimplicity as a scan
 over block chains (the reference for the closed-form stable level of
@@ -351,23 +352,19 @@ def first_semisimple_n(k: int) -> int:
 
 # --- linkage -----------------------------------------------------------------
 
-def linkage_classes(k: int, n: int, verify: bool = False,
-                    max_level: int = DEFAULT_MAX_LEVEL) -> list[tuple[Vertex, ...]]:
-    """Partition of the level-k vertices into linkage classes.
-
-    These are the block chains (blocks_at_level).  With verify=True the
-    classes are recomputed from raw residue vectors (shared vector joins two
-    vertices, transitive closure) and a mismatch raises InternalCheckError.
-    A level above max_level is refused either way.
+def linkage_classes(k: int, n: int, max_level: int = DEFAULT_MAX_LEVEL
+                    ) -> list[tuple[Vertex, ...]]:
+    """The block chains of level k (blocks_at_level), checked against the
+    linkage classes recomputed from raw residue vectors (shared vector joins
+    two vertices, transitive closure); a mismatch raises InternalCheckError.
     """
     guard("level", k, "max_level", max_level)
     classes = blocks_at_level(k, n)
-    if verify:
-        brute = brute_force_linkage_classes(k, n, max_level)
-        if {frozenset(c) for c in classes} != {frozenset(c) for c in brute}:
-            raise InternalCheckError(
-                f"linkage mismatch at level {k}, n={n}: "
-                f"chains {classes} vs residue closure {brute}")
+    brute = brute_force_linkage_classes(k, n, max_level)
+    if {frozenset(c) for c in classes} != {frozenset(c) for c in brute}:
+        raise InternalCheckError(
+            f"linkage mismatch at level {k}, n={n}: "
+            f"chains {classes} vs residue closure {brute}")
     return classes
 
 
@@ -520,7 +517,7 @@ def check_linkage() -> CheckResult:
     for k in range(8):
         for n in range(5):
             try:
-                linkage_classes(k, n, verify=True)
+                linkage_classes(k, n)
             except InternalCheckError as exc:
                 return CheckResult("linkage", False, str(exc))
     return CheckResult("linkage", True, "levels 0..7, n 0..4")

@@ -3,12 +3,14 @@ table, and argparse for everything else (help, usage errors)."""
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 import partalg.cli as cli
+import partalg.oracles as oracles
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -99,12 +101,12 @@ def argvs(draw):
 @settings(max_examples=300, deadline=None)
 @given(argvs())
 def test_main_matches_the_argparse_route_on_any_argv(argv):
-    selftest = cli.run_selftest
-    cli.run_selftest = lambda: []   # its checks are not what is compared
+    selftest = oracles.run_selftest
+    oracles.run_selftest = lambda: []   # its checks are not what is compared
     try:
         assert run(argv) == run_through_argparse(argv)
     finally:
-        cli.run_selftest = selftest
+        oracles.run_selftest = selftest
 
 
 def count_parsers(monkeypatch):
@@ -144,6 +146,36 @@ def test_usage_errors_build_the_verbs_parser(monkeypatch):
     assert code == 2
     assert err.startswith("usage: partalg")
     assert err.endswith("unrecognized arguments: --format csv\n")
+
+
+def test_every_max_k_refusal_names_the_flag():
+    verbs = [verb for verb, (_, flags) in cli.VERBS.items()
+             if "--max-k" in flags]
+    assert verbs == ["diagrams", "paths", "blocks", "permissible",
+                     "graph-dot"]
+    extra = {"paths": ["--lambda", "1"], "blocks": ["--n", "2"],
+             "permissible": ["--n", "2", "--lambda", "1"],
+             "graph-dot": ["--n", "2"]}
+    for verb in verbs:
+        code, out, err = run([verb, "--k", "15", *extra.get(verb, [])])
+        assert (code, out) == (3, ""), verb
+        assert err == ("refused: level 15 exceeds --max-k 14; "
+                       "raise the bound explicitly\n"), verb
+    # raising the flag lifts the refusal, the library defaults included
+    for argv in (["paths", "--k", "15", "--lambda", "7"],
+                 ["blocks", "--k", "15", "--n", "3", "--verify"]):
+        assert run(argv + ["--max-k", "15"])[0] == 0, argv
+
+
+def test_blocks_prints_the_classes_it_verifies():
+    for k in range(9):
+        for n in range(5):
+            argv = ["blocks", "--k", str(k), "--n", str(n)]
+            code, out, _ = run(argv)
+            code_v, out_v, _ = run(argv + ["--verify"])
+            assert code == code_v == 0, (k, n)
+            assert json.loads(out)["classes"] == \
+                json.loads(out_v)["classes"], (k, n)
 
 
 def test_graph_dot_refuses_a_negative_level():

@@ -80,7 +80,7 @@ def test_propagated_linkage_equals_the_chains_high_up(k, n):
 
 def test_linkage_refuses_a_level_above_the_bound():
     with pytest.raises(ResourceLimitError):
-        linkage_classes(15, 3, verify=True)
+        linkage_classes(15, 3)
     with pytest.raises(ResourceLimitError):
         brute_force_linkage_classes(20, 3, max_level=5)
 
@@ -199,10 +199,10 @@ def test_stable_level_equals_the_semisimplicity_scan():
     assert len(shapes) ** 3 == 343
 
 
-def _imported_modules(path):
-    """The sibling partalg modules a source file imports."""
+def _imported_modules(nodes):
+    """The sibling partalg modules the import statements among nodes name."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom):
             if node.level == 1 and node.module:
                 out.add(node.module.split(".")[0])
@@ -214,6 +214,16 @@ def _imported_modules(path):
             out.update(a.name.split(".")[1] for a in node.names
                        if a.name.startswith("partalg."))
     return out
+
+
+def _module_level(tree):
+    """The nodes of tree that run on import: all but function bodies."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
 
 
 def _names_reached(tree, start):
@@ -234,30 +244,34 @@ def _names_reached(tree, start):
     return names
 
 
-def test_only_cli_and_init_import_the_oracles():
-    imports = {p.stem: _imported_modules(p) for p in PACKAGE.glob("*.py")}
+def test_no_module_imports_the_oracles_at_module_level():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    imports = {m: _imported_modules(ast.walk(t)) for m, t in trees.items()}
     assert "oracles" in imports and "selftest" not in imports
     assert "residues" not in imports
-    assert {m for m, deps in imports.items() if "oracles" in deps} == {
-        "cli", "__init__"}
+    for m, tree in trees.items():
+        assert "oracles" not in _imported_modules(_module_level(tree)), m
+    # only the blocks --verify and selftest handlers load them, on demand
+    assert {m for m, deps in imports.items() if "oracles" in deps} == {"cli"}
+    assert {f.name for f in trees["cli"].body
+            if isinstance(f, ast.FunctionDef)
+            and "oracles" in _imported_modules(ast.walk(f))} == {
+        "cmd_blocks", "cmd_selftest"}
     # the Kronecker layer stands on partitions alone
     assert imports["kronecker"] == {"errors", "partitions"}
     # the alcove layer reads positions off shapes; the staircase coordinate
-    # model is an oracle, defined in oracles.py and re-exported only by the
-    # package root
+    # model is an oracle, defined in oracles.py and re-exported nowhere
     assert imports["geometry"] == {"branching", "partitions"}
     model = {"EmbeddedPoint", "embed", "classify", "reflect", "embedded_path"}
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for m, tree in trees.items():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                assert node.name not in model or path.stem == "oracles", (
-                    path.stem, node.name)
-            elif isinstance(node, ast.ImportFrom) and model & {
-                    a.name for a in node.names}:
-                assert (path.stem, node.module) == ("__init__", "oracles"), (
-                    path.stem, node.module)
+                assert node.name not in model or m == "oracles", (m, node.name)
+            elif isinstance(node, ast.ImportFrom):
+                assert not model & {a.name for a in node.names}, (
+                    m, node.module)
     # the residue closure stays independent of the block chains it checks
-    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    tree = trees["oracles"]
     chain_names = {a.asname or a.name for node in tree.body
                    if isinstance(node, ast.ImportFrom) and node.level == 1
                    and node.module in ("modules", "geometry")
@@ -267,12 +281,24 @@ def test_only_cli_and_init_import_the_oracles():
     assert not closure & chain_names
 
 
-def test_the_cli_starts_without_dataclasses():
-    # dataclasses would pull inspect, ast, dis and tokenize into every start;
-    # -S keeps site hooks from importing it first
+def loaded_at_start(module):
+    """Whether importing the package and its CLI in a fresh interpreter
+    loads module; -S keeps site hooks from importing it first."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, partalg, partalg.cli; "
+            f"print({module!r} in sys.modules)")
     proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, partalg.cli; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=env, timeout=60)
-    assert proc.stdout == "False\n", proc.stderr
+    assert proc.stdout in ("False\n", "True\n"), proc.stderr
+    return proc.stdout == "True\n"
+
+
+def test_the_cli_starts_without_dataclasses():
+    # dataclasses would pull inspect, ast, dis and tokenize into every start
+    assert not loaded_at_start("dataclasses")
+
+
+def test_the_cli_starts_without_the_oracles():
+    # only blocks --verify and selftest need them
+    assert not loaded_at_start("partalg.oracles")

@@ -48,7 +48,8 @@ def test_parse_and_format():
             parse_partition(text)
     with pytest.raises(ValueError, match="malformed partition"):
         parse_path("[],[],[+1]")
-    for text in ("[],[1", "[],[],[1]]", "[],[]]", "[],,[]", "[],[],"):
+    for text in ("[],[1", "[],[],[1]]", "[],[]]", "[],,[]", "[],[],",
+                 "[],[],[1],1,1"):
         with pytest.raises(ValueError, match="malformed path"):
             parse_path(text)
 

