@@ -25,10 +25,9 @@ from .kronecker import (character_degree, check_monotone, class_size,
                         first_padded_n, kronecker_coefficient,
                         kronecker_sequence, mn_character, pad,
                         padded_kronecker, stable_kronecker)
-from .modules import (BlockChain, block_chain, blocks_at_level,
-                      decomposition_row, permissible_paths,
-                      radical_dimension, restrict_cell, restrict_simple,
-                      simple_dimension)
+from .modules import (block_chain, blocks_at_level, decomposition_row,
+                      permissible_paths, radical_dimension, restrict_cell,
+                      restrict_simple, simple_dimension)
 from .partitions import (addable_nodes, dominates, format_partition,
                          node_content, parse_partition, partitions_of,
                          partitions_up_to, removable_nodes)
@@ -37,7 +36,7 @@ from .zpoly import ZPoly, parse_zpoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlcovePosition", "AlgebraElement", "BlockChain", "Diagram",
+    "AlcovePosition", "AlgebraElement", "Diagram",
     "InternalCheckError", "Path", "ResourceLimitError", "Vertex", "ZPoly",
     "addable_nodes", "block_chain", "blocks_at_level", "cell_dimension",
     "character_degree", "check_monotone", "check_path", "class_size",

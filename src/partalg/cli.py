@@ -3,6 +3,8 @@
 Every verb prints deterministic JSON (CSV where `--format csv` is asked for;
 `graph-dot` prints DOT), so runs are byte-for-byte reproducible.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 refusal on a resource bound.
+Every bound is checked here, before the work it bounds: `--max-k` in main,
+`--max-n` in the Kronecker handlers.
 
 Flags are read straight from the verb table (`VERBS`, `FLAGS`); argparse is
 built only for `--help` and usage errors, so its messages stay the only ones.
@@ -25,7 +27,7 @@ from .dot import emit_dot
 from .errors import (DEFAULT_MAX_LEVEL, DEFAULT_MAX_N, InternalCheckError,
                      ResourceLimitError, guard)
 from .kronecker import (check_monotone, kronecker_at, kronecker_sequence,
-                        stable_kronecker)
+                        stable_kronecker, stable_level)
 from .modules import (blocks_at_level, decomposition_row, permissible_paths,
                       radical_dimension, restrict_cell, restrict_simple,
                       simple_dimension)
@@ -88,7 +90,7 @@ def cmd_dims(args) -> None:
 def cmd_blocks(args) -> None:
     if args.verify:
         from .oracles import linkage_classes
-        classes = linkage_classes(args.k, args.n, max_level=None)
+        classes = linkage_classes(args.k, args.n)
     else:
         classes = blocks_at_level(args.k, args.n)
     _emit({"k": args.k, "n": args.n, "verified": bool(args.verify),
@@ -97,11 +99,10 @@ def cmd_blocks(args) -> None:
 
 
 def _decomp_json(v, n) -> dict:
-    row = decomposition_row(v, n)
     return {
         "cell": _vertex_json(v),
         "factors": [{"shape": format_partition(w.shape), "mult": m}
-                    for w, m in row.factors],
+                    for w, m in decomposition_row(v, n)],
         "dims": {"cell": cell_dimension(v),
                  "simple": simple_dimension(v, n),
                  "radical": radical_dimension(v, n)},
@@ -161,14 +162,18 @@ def cmd_kronecker(args) -> None:
 
 
 def cmd_stable(args) -> None:
-    g, n0 = stable_kronecker(args.lam, args.mu, args.nu, max_n=args.max_n)
+    guard("stable level n0", stable_level(args.lam, args.mu, args.nu),
+          "--max-n", args.max_n)
+    g, n0 = stable_kronecker(args.lam, args.mu, args.nu)
     _emit({**_triple_json(args.lam, args.mu, args.nu), "stable": g,
            "stable_at": n0})
 
 
 def cmd_monotone(args) -> None:
-    report = check_monotone(args.lam, args.mu, args.nu, args.nmax,
-                            max_n=args.max_n)
+    nmax = (args.nmax if args.nmax is not None
+            else stable_level(args.lam, args.mu, args.nu) + 2)
+    guard("n_max", nmax, "--max-n", args.max_n)
+    report = check_monotone(args.lam, args.mu, args.nu, nmax)
     if args.format == "csv":
         _emit_sequence_csv(report.lam, report.mu, report.nu, report.entries)
         return

@@ -278,17 +278,13 @@ class AlgebraElement:
         m = dots_for_level(level)
         clean: dict[Diagram, ZPoly] = {}
         for d, c in (terms or {}).items():
-            if isinstance(c, int):
-                c = ZPoly.const(c)
             if d.dots != m:
                 raise ValueError(f"diagram {d} has wrong dot count for level {level}")
             if level % 2 == 1 and not d.has_joined_last_dot():
                 raise ValueError(f"diagram {d} not in the odd level {level}")
-            if c:
-                clean[d] = clean.get(d, ZPoly()) + c
+            clean[d] = ZPoly.const(c) if isinstance(c, int) else c
         _set(self, "level", level)
-        _set(self, "terms",
-             {d: clean[d] for d in sorted(clean, key=_codes) if clean[d]})
+        _set(self, "terms", _element(level, clean).terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -317,7 +313,7 @@ class AlgebraElement:
         terms = dict(self.terms)
         for d, c in other.terms.items():
             terms[d] = terms.get(d, ZPoly()) + c
-        return AlgebraElement(self.level, terms)
+        return _element(self.level, terms)
 
     def __sub__(self, other):
         return self + other.scale(ZPoly.const(-1))
@@ -325,7 +321,7 @@ class AlgebraElement:
     def scale(self, c) -> "AlgebraElement":
         if isinstance(c, int):
             c = ZPoly.const(c)
-        return AlgebraElement(self.level, {d: c * v for d, v in self.terms.items()})
+        return _element(self.level, {d: c * v for d, v in self.terms.items()})
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement):
@@ -336,7 +332,7 @@ class AlgebraElement:
     def __mul__(self, other):
         # Products stay in the level (odd levels are closed under
         # composition), so the result is built unchecked: coefficients add
-        # up in integer lists, one ZPoly and one sort at the end.
+        # up in integer lists, one ZPoly per diagram at the end.
         self._check(other)
         right = [(dy, cy.coeffs) for dy, cy in other.terms.items()]
         sums: dict[Diagram, list[int]] = {}
@@ -353,18 +349,13 @@ class AlgebraElement:
                 for i, a in enumerate(cx, t):
                     for j, b in enumerate(cy, i):
                         acc[j] += a * b
-        terms = {}
-        for d in sorted(sums, key=_codes):
-            c = ZPoly(sums[d])
-            if c:
-                terms[d] = c
-        return _element(self.level, terms)
+        return _element(self.level,
+                        {d: ZPoly(acc) for d, acc in sums.items()})
 
     def star(self) -> "AlgebraElement":
         """The involution: flip every diagram, keep coefficients."""
-        flipped = {d.involute(): c for d, c in self.terms.items()}
         return _element(self.level,
-                        {d: flipped[d] for d in sorted(flipped, key=_codes)})
+                        {d.involute(): c for d, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -384,11 +375,13 @@ class AlgebraElement:
 
 
 def _element(level: int, terms: dict) -> AlgebraElement:
-    """An AlgebraElement from nonzero terms of the level already in
-    canonical order, unchecked."""
+    """An AlgebraElement from ZPoly terms on diagrams of the level,
+    unchecked; the one place terms are put in diagram order and zero
+    coefficients dropped."""
     e = _new(AlgebraElement)
     _set(e, "level", level)
-    _set(e, "terms", terms)
+    _set(e, "terms",
+         {d: terms[d] for d in sorted(terms, key=_codes) if terms[d]})
     return e
 
 
@@ -421,11 +414,11 @@ def embed_up(a: AlgebraElement) -> AlgebraElement:
     """
     k = a.level
     if k % 2 == 1:
-        return _element(k + 1, dict(a.terms))
+        return _element(k + 1, a.terms)
     m = dots_for_level(k)
     # northern codes move up by one to make room for the new southern code
     # m; its block (m, 2m+1) sorts after every block opening with a southern
-    # code, and the shift keeps the order of the other diagrams
+    # code
     terms = {}
     for d, c in a.terms.items():
         blocks = [tuple([p if p < m else p + 1 for p in b]) for b in d.codes]

@@ -50,7 +50,6 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .errors import guard
 from .partitions import Partition, check_partition, partitions_of
 
 
@@ -190,7 +189,7 @@ def first_padded_n(lam, mu, nu) -> int:
     return max(sum(tau) + (tau[0] if tau else 0) for tau in (lam, mu, nu))
 
 
-def _stable_level(lam, mu, nu) -> int:
+def stable_level(lam, mu, nu) -> int:
     """First n where degree 2(|lam|+|mu|) is semisimple and every padding
     is valid (degree 0, at lam = mu = (), is semisimple at every n)."""
     return max(2 * (sum(lam) + sum(mu)) - 1, first_padded_n(lam, mu, nu))
@@ -200,7 +199,7 @@ def _flat_level(lam, mu, nu) -> int:
     """F = min(n0, N*), N* = max(|lam| + |mu| + |nu|, first_padded_n): the
     least level this module proves g_n constant from (module docstring)."""
     n_star = max(sum(lam) + sum(mu) + sum(nu), first_padded_n(lam, mu, nu))
-    return min(_stable_level(lam, mu, nu), n_star)
+    return min(stable_level(lam, mu, nu), n_star)
 
 
 def _limit_at(lam, mu, nu, n: int) -> int:
@@ -210,17 +209,16 @@ def _limit_at(lam, mu, nu, n: int) -> int:
     return g
 
 
-def stable_kronecker(lam, mu, nu, max_n: int | None = None) -> tuple[int, int]:
+def stable_kronecker(lam, mu, nu) -> tuple[int, int]:
     """The limit coefficient and the level n0 where the sequence is provably
-    flat: n0 = max(2(|lam|+|mu|) - 1, first n with all paddings valid), the
-    first n where degree 2(|lam|+|mu|) is semisimple and every padding fits.
-    When |nu| exceeds |lam| + |mu| the limit is zero.  The limit is summed at
-    the flat level F <= n0.  Refused when n0 exceeds max_n (None: no bound),
-    before any class sum."""
+    flat: n0 = stable_level(lam, mu, nu) = max(2(|lam|+|mu|) - 1, first n
+    with all paddings valid), the first n where degree 2(|lam|+|mu|) is
+    semisimple and every padding fits.  When |nu| exceeds |lam| + |mu| the
+    limit is zero.  The limit is summed at the flat level F <= n0; no bound
+    is checked here, the CLI refuses an n0 above --max-n before calling."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    n0 = _stable_level(lam, mu, nu)
-    guard("stable level n0", n0, "max_n", max_n)
-    return _limit_at(lam, mu, nu, _flat_level(lam, mu, nu)), n0
+    return (_limit_at(lam, mu, nu, _flat_level(lam, mu, nu)),
+            stable_level(lam, mu, nu))
 
 
 class MonotoneReport(NamedTuple):
@@ -236,17 +234,13 @@ class MonotoneReport(NamedTuple):
     flat_at: int            # F, the level the limit was summed at
 
 
-def check_monotone(lam, mu, nu, n_max: int | None = None,
-                   max_n: int | None = None) -> MonotoneReport:
-    """Verify g_n <= g_{n+1} <= stable limit on [0, n_max] (default n0 + 2),
-    summing classes at every n; the limit is the entry at the flat level F,
-    or one more class sum when F exceeds n_max.  Refused when n_max exceeds
-    max_n (None: no bound), before any class sum."""
+def check_monotone(lam, mu, nu, n_max: int) -> MonotoneReport:
+    """Verify g_n <= g_{n+1} <= stable limit on [0, n_max], summing classes
+    at every n; the limit is the entry at the flat level F, or one more class
+    sum when F exceeds n_max.  No bound is checked here: the CLI picks n_max
+    (--nmax, default n0 + 2) and refuses one above --max-n before calling."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    n0 = _stable_level(lam, mu, nu)
-    if n_max is None:
-        n_max = n0 + 2
-    guard("n_max", n_max, "max_n", max_n)
+    n0 = stable_level(lam, mu, nu)
     entries = _literal_sequence(lam, mu, nu, n_max)
     flat = _flat_level(lam, mu, nu)
     stable = (entries[flat].g if flat <= n_max

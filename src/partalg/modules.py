@@ -19,7 +19,6 @@ branch appears only where a closed formula is used.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
 
 from .branching import (Path, Vertex, cell_dimension, enumerate_paths,
                         parents, vertices_at_level)
@@ -27,20 +26,15 @@ from .errors import DEFAULT_MAX_LEVEL, guard
 from .geometry import position, reflected_vertex
 
 
-class BlockChain(NamedTuple):
-    """Maximal swap chain through a vertex, sizes strictly increasing.
+def block_chain(v: Vertex, n: int) -> tuple[Vertex, ...]:
+    """Maximal swap chain through v, sizes strictly increasing.
 
     chain[i] sits in alcove i+1, and the swap s_{0,i+1} carries it to
     chain[i+1].  A wall vertex is its own one-member chain.
     """
-
-    chain: tuple[Vertex, ...]
-
-
-def block_chain(v: Vertex, n: int) -> BlockChain:
     pos = position(v, n)
     if pos.kind == "wall":
-        return BlockChain((v,))
+        return (v,)
     # walk down to alcove 1: the swap s_{0,a-1}, ..., s_{0,1} images always
     # read back as vertices (their shapes shrink)
     base = v
@@ -54,14 +48,7 @@ def block_chain(v: Vertex, n: int) -> BlockChain:
     chain = [base]
     while (up := reflected_vertex(chain[-1], n, len(chain))) is not None:
         chain.append(up)
-    return BlockChain(tuple(chain))
-
-
-class DecompositionRow(NamedTuple):
-    """Composition factors of one cell module, with multiplicities."""
-
-    cell: Vertex
-    factors: tuple[tuple[Vertex, int], ...]
+    return tuple(chain)
 
 
 def _vanishes(v: Vertex, n: int) -> bool:
@@ -70,18 +57,18 @@ def _vanishes(v: Vertex, n: int) -> bool:
     return n == 0 and v.level % 2 == 0 and v.level >= 2 and v.shape == ()
 
 
-def decomposition_row(v: Vertex, n: int) -> DecompositionRow:
-    """Factors of the cell module of v: [L(v)] + [L(next chain member)],
-    dropping L(v) in the vanishing case and at the chain top keeping only
-    L(v)."""
-    bc = block_chain(v, n)
-    idx = bc.chain.index(v)
+def decomposition_row(v: Vertex, n: int) -> tuple[tuple[Vertex, int], ...]:
+    """Composition factors of the cell module of v, with multiplicities:
+    [L(v)] + [L(next chain member)], dropping L(v) in the vanishing case and
+    at the chain top keeping only L(v)."""
+    chain = block_chain(v, n)
+    idx = chain.index(v)
     factors: list[tuple[Vertex, int]] = []
     if not _vanishes(v, n):
         factors.append((v, 1))
-    if idx + 1 < len(bc.chain):
-        factors.append((bc.chain[idx + 1], 1))
-    return DecompositionRow(v, tuple(factors))
+    if idx + 1 < len(chain):
+        factors.append((chain[idx + 1], 1))
+    return tuple(factors)
 
 
 def _simple_parents(v: Vertex, n: int) -> list[Vertex] | None:
@@ -125,7 +112,7 @@ def permissible_paths(v: Vertex, n: int,
     def rec(u: Vertex) -> tuple[Path, ...]:
         kept = _simple_parents(u, n)
         if kept is None:
-            return tuple(enumerate_paths(u, max_level))
+            return tuple(enumerate_paths(u, None))
         return tuple(p + (u.shape,) for w in kept for p in rec(w))
 
     return list(rec(v))
@@ -166,7 +153,7 @@ def blocks_at_level(k: int, n: int) -> list[tuple[Vertex, ...]]:
     for v in vertices_at_level(k):
         if v in seen:
             continue
-        bc = block_chain(v, n)
-        seen.update(bc.chain)
-        out.append(bc.chain)
+        chain = block_chain(v, n)
+        seen.update(chain)
+        out.append(chain)
     return out

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .branching import (Path, Vertex, cell_dimension, check_path,
                         enumerate_paths, parents, vertices_at_level)
-from .errors import DEFAULT_MAX_LEVEL, InternalCheckError, guard
+from .errors import InternalCheckError
 from .geometry import AlcovePosition, head, position
 from .kronecker import class_size
 from .modules import _vanishes, block_chain, blocks_at_level, simple_dimension
@@ -321,7 +321,7 @@ def simple_dimension_by_alternating_sum(v: Vertex, n: int) -> int:
     dim L = dim Cell(v) - dim Cell(next) + dim Cell(after next) - ..."""
     if _vanishes(v, n):
         return 0
-    chain = block_chain(v, n).chain
+    chain = block_chain(v, n)
     return sum((-1) ** step * cell_dimension(w)
                for step, w in enumerate(chain[chain.index(v):]))
 
@@ -333,7 +333,7 @@ def is_semisimple(k: int, n: int) -> bool:
     i.e. every block chain is a singleton; stops at the first that is not."""
     if n < 0:
         raise ValueError("parameter n must be a nonnegative integer")
-    return all(len(block_chain(v, n).chain) == 1 for v in vertices_at_level(k))
+    return all(len(block_chain(v, n)) == 1 for v in vertices_at_level(k))
 
 
 def first_semisimple_n(k: int) -> int:
@@ -352,15 +352,13 @@ def first_semisimple_n(k: int) -> int:
 
 # --- linkage -----------------------------------------------------------------
 
-def linkage_classes(k: int, n: int, max_level: int = DEFAULT_MAX_LEVEL
-                    ) -> list[tuple[Vertex, ...]]:
+def linkage_classes(k: int, n: int) -> list[tuple[Vertex, ...]]:
     """The block chains of level k (blocks_at_level), checked against the
     linkage classes recomputed from raw residue vectors (shared vector joins
     two vertices, transitive closure); a mismatch raises InternalCheckError.
     """
-    guard("level", k, "max_level", max_level)
     classes = blocks_at_level(k, n)
-    brute = brute_force_linkage_classes(k, n, max_level)
+    brute = brute_force_linkage_classes(k, n)
     if {frozenset(c) for c in classes} != {frozenset(c) for c in brute}:
         raise InternalCheckError(
             f"linkage mismatch at level {k}, n={n}: "
@@ -368,16 +366,13 @@ def linkage_classes(k: int, n: int, max_level: int = DEFAULT_MAX_LEVEL
     return classes
 
 
-def brute_force_linkage_classes(k: int, n: int,
-                                max_level: int = DEFAULT_MAX_LEVEL
-                                ) -> list[tuple[Vertex, ...]]:
+def brute_force_linkage_classes(k: int, n: int) -> list[tuple[Vertex, ...]]:
     """Union-find closure of "some paths share a residue vector".
 
     The residue vectors at n of the paths to a vertex are those of each of
     its parents, extended by the residue of the edge between them; they are
     propagated level by level, so no path is built.
     """
-    guard("level", k, "max_level", max_level)
     if n < 0:
         raise ValueError("parameter n must be a nonnegative integer")
     vectors: dict[Vertex, set[tuple[int, ...]]] = {Vertex((), 0): {()}}

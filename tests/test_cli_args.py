@@ -167,6 +167,50 @@ def test_every_max_k_refusal_names_the_flag():
         assert run(argv + ["--max-k", "15"])[0] == 0, argv
 
 
+def test_every_max_n_refusal_names_the_flag():
+    assert [verb for verb, (_, flags) in cli.VERBS.items()
+            if "--max-n" in flags] == ["kronecker", "stable", "monotone"]
+    one = ["--lambda", "1", "--mu", "1", "--nu", "1"]
+    two = ["--lambda", "2", "--mu", "2", "--nu", "2"]
+    two_one = ["--lambda", "2,1", "--mu", "2,1", "--nu", "2,1"]
+    cases = [
+        (["kronecker", *one, "--n", "12"], "n 12 exceeds --max-n 10"),
+        (["kronecker", *one, "--nmax", "11"], "n 11 exceeds --max-n 10"),
+        (["stable", *two_one], "stable level n0 11 exceeds --max-n 10"),
+        (["monotone", *two, "--max-n", "8"], "n_max 9 exceeds --max-n 8"),
+    ]
+    for argv, what in cases:
+        assert run(argv) == (
+            3, "", f"refused: {what}; raise the bound explicitly\n"), argv
+
+
+def test_max_n_refusals_come_before_any_class_sum(monkeypatch):
+    import partalg.kronecker as kron
+
+    def no_class_sum(*args):
+        raise AssertionError("class sum before the refusal")
+
+    monkeypatch.setattr(kron, "padded_kronecker", no_class_sum)
+    for argv in (
+            ["stable", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1"],  # 11
+            ["monotone", "--lambda", "2", "--mu", "2", "--nu", "2",
+             "--max-n", "8"],                                 # n0 + 2 = 9
+            ["monotone", "--lambda", "1", "--mu", "1", "--nu", "1",
+             "--nmax", "12"],
+            ["stable", "--lambda", "20", "--mu", "20", "--nu", "20"]):  # 79
+        code, out, err = run(argv)
+        assert (code, out) == (3, ""), argv
+        assert "exceeds --max-n" in err, argv
+    monkeypatch.undo()
+    code, out, _ = run(["stable", "--lambda", "2,1", "--mu", "2,1",
+                        "--nu", "2,1", "--max-n", "11"])
+    assert code == 0
+    assert (json.loads(out)["stable"], json.loads(out)["stable_at"]) == (9, 11)
+    code, out, _ = run(["monotone", "--lambda", "2", "--mu", "2",
+                        "--nu", "2", "--max-n", "9"])
+    assert code == 0 and json.loads(out)["passed"]
+
+
 def test_blocks_prints_the_classes_it_verifies():
     for k in range(9):
         for n in range(5):

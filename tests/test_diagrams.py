@@ -196,6 +196,41 @@ def test_element_parse_and_str():
     assert zero == AlgebraElement.zero(2)
 
 
+def _assert_canonical(x):
+    """Terms in strictly increasing diagram order, no zero coefficient, and
+    the constructor returns x unchanged."""
+    ds = list(x.terms)
+    assert all(a < b for a, b in zip(ds, ds[1:])), x
+    assert all(isinstance(c, ZPoly) and c for c in x.terms.values()), x
+    assert AlgebraElement(x.level, x.terms) == x
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_every_element_is_canonical(level):
+    diags = enumerate_diagrams(level)
+    rng = random.Random(level * 4391)
+    coeffs = [0, 1, -1, 2, ZPoly(), ZPoly([0, 1]), ZPoly([-1, 1]),
+              ZPoly([1, -1])]
+    for _ in range(30):
+        a, b = (AlgebraElement(level, {
+            d: rng.choice(coeffs)
+            for d in rng.sample(diags, rng.randint(0, min(4, len(diags))))})
+            for _ in range(2))
+        for x in (a, b, a + b, a - b, a - a, a.scale(0), a.scale(-1),
+                  a.scale(ZPoly([0, 1])), a * b, a * (b - b), a.star(),
+                  embed_up(a), parse_element(str(a), level)):
+            _assert_canonical(x)
+        assert parse_element(str(a), level) == a
+    # the constructor still checks each diagram against the level
+    with pytest.raises(ValueError):
+        AlgebraElement(level, {identity_diagram(dots_for_level(level) + 1): 1})
+    if level % 2:
+        apart = [d for d in enumerate_diagrams(level + 1)
+                 if not d.has_joined_last_dot()]
+        with pytest.raises(ValueError):
+            AlgebraElement(level, {apart[0]: 1})
+
+
 def test_odd_level_membership_enforced():
     bad = parse_diagram("[[1],[2],[1'],[2']]")
     with pytest.raises(ValueError):

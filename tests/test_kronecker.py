@@ -8,12 +8,11 @@ import pytest
 import partalg.cli as cli
 import partalg.kronecker as kron
 
-from partalg.errors import ResourceLimitError
 from partalg.kronecker import (SequenceEntry, check_monotone, class_size,
                                character_degree, first_padded_n,
                                kronecker_coefficient, kronecker_sequence,
                                mn_character, pad, padded_kronecker,
-                               stable_kronecker)
+                               stable_kronecker, stable_level)
 from partalg.partitions import partitions_of, partitions_up_to
 
 
@@ -189,14 +188,14 @@ def test_stable_bounds_the_sequence():
 
 
 def test_monotone_reports():
-    report = check_monotone((1,), (1,), (1,))
+    report = check_monotone((1,), (1,), (1,), 5)
     assert report.passed
     assert report.stable == 1
     assert report.stable_at == 3
     assert report.first_flat == 3
     assert [e.g for e in report.entries] == [0, 0, 0, 1, 1, 1]
 
-    report = check_monotone((2,), (1, 1), (1, 1))
+    report = check_monotone((2,), (1, 1), (1, 1), 9)     # n0 = 7
     assert report.passed
     assert report.violations == ()
     assert report.entries[-1].g == report.stable
@@ -207,32 +206,13 @@ def test_monotone_across_small_triples():
     for lam in shapes:
         for mu in shapes:
             for nu in shapes:
-                report = check_monotone(lam, mu, nu)
+                report = check_monotone(lam, mu, nu,
+                                        stable_level(lam, mu, nu) + 2)
                 assert report.passed, (lam, mu, nu, report.violations)
 
 
-def test_bounded_limits_refuse_before_any_class_sum(monkeypatch):
-    import partalg.kronecker as kron
-
-    def no_class_sum(*args):
-        raise AssertionError("class sum before the refusal")
-
-    monkeypatch.setattr(kron, "padded_kronecker", no_class_sum)
-    with pytest.raises(ResourceLimitError):
-        stable_kronecker((2, 1), (2, 1), (2, 1), max_n=10)   # n0 = 11
-    with pytest.raises(ResourceLimitError):
-        check_monotone((2,), (2,), (2,), max_n=8)            # n0 + 2 = 9
-    with pytest.raises(ResourceLimitError):
-        check_monotone((1,), (1,), (1,), 12, max_n=10)
-    with pytest.raises(ResourceLimitError):
-        stable_kronecker((20,), (20,), (20,), max_n=10)      # n0 = 79
-    monkeypatch.setattr(kron, "padded_kronecker", padded_kronecker)
-    assert stable_kronecker((2, 1), (2, 1), (2, 1), max_n=11) == (9, 11)
-    assert check_monotone((2,), (2,), (2,), max_n=9).passed
-
-
 def _assert_sequence_is_literal(lam, mu, nu):
-    n0 = kron._stable_level(lam, mu, nu)
+    n0 = kron.stable_level(lam, mu, nu)
     flat = kron._flat_level(lam, mu, nu)
     assert first_padded_n(lam, mu, nu) <= flat <= n0
     top = max(n0, flat) + 2
@@ -266,7 +246,7 @@ def test_verbs_sum_classes_only_up_to_the_flat_level(monkeypatch):
     monkeypatch.setattr(kron, "padded_kronecker", counted)
     triple = ((2, 1), (2, 1), (1,))
     flat = kron._flat_level(*triple)
-    assert (flat, kron._stable_level(*triple)) == (7, 11)
+    assert (flat, kron.stable_level(*triple)) == (7, 11)
     for n_max in (3, flat, 12):
         levels.clear()
         kronecker_sequence(*triple, n_max)

@@ -14,13 +14,12 @@ import pytest
 import partalg
 from partalg.branching import enumerate_paths, vertices_at_level
 from partalg.diagrams import compose, enumerate_diagrams
-from partalg.errors import ResourceLimitError
 from partalg.kronecker import (first_padded_n, kronecker_coefficient,
                                mn_character, pad, stable_kronecker)
 from partalg.modules import blocks_at_level, permissible_paths
 from partalg.oracles import (brute_force_linkage_classes, first_semisimple_n,
                              is_permissible, is_semisimple,
-                             kronecker_by_class_sum, linkage_classes,
+                             kronecker_by_class_sum,
                              mn_character_by_strips, partitions_by_recursion,
                              residue_vector)
 from partalg.partitions import partitions_of, partitions_up_to
@@ -76,13 +75,6 @@ def test_propagated_linkage_equals_the_per_path_closure_and_the_chains():
 def test_propagated_linkage_equals_the_chains_high_up(k, n):
     assert as_classes(brute_force_linkage_classes(k, n)) == \
         as_classes(blocks_at_level(k, n))
-
-
-def test_linkage_refuses_a_level_above_the_bound():
-    with pytest.raises(ResourceLimitError):
-        linkage_classes(15, 3)
-    with pytest.raises(ResourceLimitError):
-        brute_force_linkage_classes(20, 3, max_level=5)
 
 
 def test_partitions_equal_the_recursion():
@@ -258,7 +250,22 @@ def test_no_module_imports_the_oracles_at_module_level():
             and "oracles" in _imported_modules(ast.walk(f))} == {
         "cmd_blocks", "cmd_selftest"}
     # the Kronecker layer stands on partitions alone
-    assert imports["kronecker"] == {"errors", "partitions"}
+    assert imports["kronecker"] == {"partitions"}
+    # bounds are checked where the user sets them, in the CLI, and in the
+    # three level-bounded enumerations that library callers reach directly
+    guarded = {(m, getattr(top, "name", None))
+               for m, tree in trees.items() for top in tree.body
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and "guard" in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))}
+    assert {g for g in guarded if g[0] != "cli"} == {
+        ("diagrams", "enumerate_diagrams"), ("branching", "enumerate_paths"),
+        ("modules", "permissible_paths")}
+    assert ("cli", "main") in guarded
+    assert {m for m, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and "guard" in {a.name for a in node.names}} == {
+        "cli", "diagrams", "branching", "modules"}
     # the alcove layer reads positions off shapes; the staircase coordinate
     # model is an oracle, defined in oracles.py and re-exported nowhere
     assert imports["geometry"] == {"branching", "partitions"}
