@@ -22,7 +22,8 @@ import sys
 
 from .branching import (cell_dimension, enumerate_paths, format_paths, vertex,
                         vertices_at_level)
-from .diagrams import enumerate_diagrams, format_diagram, parse_element
+from .diagrams import (dots_for_level, enumerate_diagrams, format_diagrams,
+                       parse_element)
 from .dot import emit_dot
 from .errors import (DEFAULT_MAX_LEVEL, DEFAULT_MAX_N, InternalCheckError,
                      ResourceLimitError, guard)
@@ -60,7 +61,7 @@ def _triple_json(lam, mu, nu) -> dict:
 def cmd_diagrams(args) -> None:
     diags = enumerate_diagrams(args.k, max_level=None)
     _emit({"k": args.k, "count": len(diags),
-           "diagrams": [format_diagram(d) for d in diags]})
+           "diagrams": format_diagrams(dots_for_level(args.k), diags)})
 
 
 def cmd_mult(args) -> None:

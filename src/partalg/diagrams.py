@@ -21,14 +21,30 @@ contains m'.  Multiplication stacks x on top of y, identifying the southern
 row of x with the northern row of y; each connected component lying entirely
 in the identified middle row is deleted and contributes one factor of z.
 
+Two diagrams meet only at the middle row, so a product works on half
+diagrams (Halverson-Ram, "Partition algebras", 2005).  Each operand is split
+once: the blocks that touch the middle give a set partition of the middle
+row, each part a bitmask of middle points carrying the bitmask of the codes
+it reaches on the operand's free side (x's northern row, y's southern row);
+blocks that miss the middle pass through whole.  The components of a stack
+are the parts of the join of the two middle partitions (the finest set
+partition coarser than both), found once per pair of middle partitions, not
+per pair of diagrams.  A component's block is then the OR of what x and y
+reach from it, and a component reaching nothing is deleted.  Coefficients
+are packed as single integers: c_0 + c_1 z + ... becomes c_0 + c_1 2^w + ...
+(Kronecker substitution), so multiplying by z^t is a shift by w*t and every
+pair adds one integer product.  No output coefficient exceeds
+|a|*|b|*min(len)*max|a_i|*max|b_j| in absolute value, where |a|, |b| count
+terms, len is the longest coefficient list of an operand and a_i, b_j range
+over all integer coefficients; w is chosen so that this bound is below
+2^(w-1), and each output's balanced base-2^w digits are its coefficients,
+exactly.
+
 Coefficients live in ZPoly (integer polynomials in z), so all products are
 exact.
 """
 
 from __future__ import annotations
-
-from functools import cache
-from operator import attrgetter
 
 from .errors import DEFAULT_MAX_LEVEL, guard
 from .zpoly import ZPoly, parse_zpoly
@@ -37,7 +53,6 @@ Point = int  # i for southern i, -i for northern i'
 
 _new = object.__new__
 _set = object.__setattr__
-_codes = attrgetter("codes")
 
 
 def dots_for_level(k: int) -> int:
@@ -132,18 +147,37 @@ def _diagram(dots: int, codes: tuple) -> Diagram:
     return d
 
 
-@cache
-def _labels(m: int) -> tuple[str, ...]:
+class _OnDemand(dict):
+    """A dict that fills each missing key with fn(key), once."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _labels(m: int) -> list[str]:
     """The printed point of each code on m dots."""
     south = [str(i) for i in range(1, m + 1)]
-    return tuple(south + [f"{i}'" for i in south])
+    return south + [f"{i}'" for i in south]
+
+
+def format_diagrams(dots: int, diagrams) -> list[str]:
+    """Render diagrams on the given dot count like format_diagram, building
+    the text of each distinct block once per call."""
+    labels = _labels(dots)
+    block = _OnDemand(lambda b: "[" + ",".join([labels[c] for c in b]) + "]")
+    text = block.__getitem__
+    return ["[" + ",".join(map(text, d.codes)) + "]" for d in diagrams]
 
 
 def format_diagram(d: Diagram) -> str:
     """Render like [[1,2'],[2],[1']]; primes mark northern points."""
-    label = _labels(d.dots).__getitem__
-    return "[" + ",".join(["[" + ",".join(map(label, b)) + "]"
-                           for b in d.codes]) + "]"
+    return format_diagrams(d.dots, (d,))[0]
 
 
 def parse_diagram(text: str, dots: int | None = None) -> Diagram:
@@ -177,50 +211,113 @@ def identity_diagram(m: int) -> Diagram:
     return _diagram(m, tuple((i, m + i) for i in range(m)))
 
 
+def _halves(terms: dict, upper: bool, w: int) -> dict:
+    """Split each diagram of terms at the middle row of a product, as the
+    upper factor x or the lower factor y; group the diagrams by their middle
+    partition.
+
+    Returns {middle partition: [(reach, whole, packed coefficient)]}.  The
+    middle partition is a sorted tuple of bitmasks of middle points (x meets
+    the middle with its southern code c, y with its northern code m + c).
+    reach maps a union of parts, as a bitmask, to the bitmask of free-side
+    codes those parts reach; whole lists the bitmasks of the blocks that
+    miss the middle."""
+    groups: dict[tuple, list] = {}
+    for d, c in terms.items():
+        m = d.dots
+        parts = []
+        whole = []
+        for b in d.codes:
+            middle = free = 0
+            for code in b:
+                # x's southern and y's northern codes lie on the middle row
+                if (code < m) is upper:
+                    middle |= 1 << (code % m)
+                else:
+                    free |= 1 << code
+            if middle:
+                parts.append((middle, free))
+            else:
+                whole.append(free)
+        parts.sort()
+        # the free sides of distinct parts are disjoint: sum is their OR
+        reach = _OnDemand(lambda joined, parts=parts:
+                          sum([free for middle, free in parts
+                               if middle & joined]))
+        packed = 0
+        for v in reversed(c.coeffs):
+            packed = (packed << w) + v
+        groups.setdefault(tuple([middle for middle, _ in parts]), []).append(
+            (reach, whole, packed))
+    return groups
+
+
+def _join(upper: tuple, lower: tuple) -> list[int]:
+    """The finest set partition coarser than both partitions of the middle
+    row: the connected components of the stacked middle rows, as bitmasks."""
+    joined = list(upper)
+    for part in lower:
+        rest = []
+        for comp in joined:
+            if comp & part:
+                part |= comp
+            else:
+                rest.append(comp)
+        rest.append(part)
+        joined = rest
+    return joined
+
+
+def _product(m: int, a: dict, b: dict) -> dict[Diagram, ZPoly]:
+    """The terms of the product of two {diagram: ZPoly} sums on m dots,
+    zero coefficients included, in no particular order."""
+    if not (a and b):
+        return {}
+    ca = [c.coeffs for c in a.values()]
+    cb = [c.coeffs for c in b.values()]
+    bound = (len(a) * len(b) * min(max(map(len, ca)), max(map(len, cb)))
+             * max([abs(v) for cs in ca for v in cs])
+             * max([abs(v) for cs in cb for v in cs]))
+    w = bound.bit_length() + 1
+    sums: dict[tuple, int] = {}   # sorted block bitmasks -> packed sum
+    lower = _halves(b, False, w)
+    for xmid, xs in _halves(a, True, w).items():
+        for ymid, ys in lower.items():
+            joined = _join(xmid, ymid)
+            for xreach, xwhole, cx in xs:
+                for yreach, ywhole, cy in ys:
+                    masks = [xreach[j] | yreach[j] for j in joined]
+                    t = masks.count(0)   # components deleted, sorted first
+                    masks += xwhole
+                    masks += ywhole
+                    masks.sort()
+                    key = tuple(masks[t:])
+                    sums[key] = sums.get(key, 0) + (cx * cy << w * t)
+    # a block's bitmask -> its codes, ascending
+    blocks = _OnDemand(lambda mask: tuple([c for c in range(mask.bit_length())
+                                           if mask >> c & 1]))
+    half = 1 << (w - 1)
+    base = 1 << w
+    out = {}
+    for key, packed in sums.items():
+        coeffs = []
+        while packed:   # balanced base-2^w digits, lowest first
+            packed, v = divmod(packed + half, base)
+            coeffs.append(v - half)
+        out[_diagram(m, tuple(sorted(map(blocks.__getitem__, key))))] = (
+            ZPoly(coeffs))
+    return out
+
+
 def compose(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     """Stack x over y; return the resulting diagram and the number of
-    deleted middle components."""
+    deleted middle components.  This is the product of one pair: z^t d is
+    x times y with unit coefficients."""
     if x.dots != y.dots:
         raise ValueError("diagrams on different dot counts")
-    m = x.dots
-    m2 = m + m
-    # Union-find on 3m slots: 0..m-1 the middle row (x's southern codes),
-    # m..2m-1 the northern row (x's northern codes), 2m..3m-1 the southern
-    # row (y's southern codes plus 2m).  x's blocks keep their codes as
-    # slots; y's northern code m+i meets x's southern code i in the middle.
-    parent = list(range(3 * m))
-    for block in x.codes:
-        root = block[0]
-        for c in block[1:]:
-            parent[c] = root
-    for block in y.codes:
-        root = -1
-        for c in block:
-            s = c - m if c >= m else c + m2
-            while parent[s] != s:
-                parent[s] = s = parent[parent[s]]
-            if root < 0:
-                root = s
-            elif s != root:
-                parent[s] = root
-    # walking the result's codes in order yields blocks already canonical
-    groups: dict[int, list[int]] = {}
-    for c in range(m2):
-        s = c + m2 if c < m else c
-        while parent[s] != s:
-            parent[s] = s = parent[parent[s]]
-        group = groups.get(s)
-        if group is None:
-            groups[s] = [c]
-        else:
-            group.append(c)
-    middle = set()
-    for s in range(m):
-        while parent[s] != s:
-            parent[s] = s = parent[parent[s]]
-        middle.add(s)
-    return (_diagram(m, tuple(map(tuple, groups.values()))),
-            len(middle - groups.keys()))
+    one = ZPoly.const(1)
+    ((d, c),) = _product(x.dots, {x: one}, {y: one}).items()
+    return d, c.degree
 
 
 def _splits(rest: tuple):
@@ -330,27 +427,11 @@ class AlgebraElement:
             raise ValueError("elements at different levels")
 
     def __mul__(self, other):
-        # Products stay in the level (odd levels are closed under
-        # composition), so the result is built unchecked: coefficients add
-        # up in integer lists, one ZPoly per diagram at the end.
+        # products stay in the level (odd levels are closed under
+        # composition), so the result is built unchecked
         self._check(other)
-        right = [(dy, cy.coeffs) for dy, cy in other.terms.items()]
-        sums: dict[Diagram, list[int]] = {}
-        for dx, cx in self.terms.items():
-            cx = cx.coeffs
-            for dy, cy in right:
-                d, t = compose(dx, dy)
-                acc = sums.get(d)
-                if acc is None:
-                    acc = sums[d] = []
-                short = t + len(cx) + len(cy) - 1 - len(acc)
-                if short > 0:
-                    acc.extend([0] * short)
-                for i, a in enumerate(cx, t):
-                    for j, b in enumerate(cy, i):
-                        acc[j] += a * b
-        return _element(self.level,
-                        {d: ZPoly(acc) for d, acc in sums.items()})
+        return _element(self.level, _product(dots_for_level(self.level),
+                                             self.terms, other.terms))
 
     def star(self) -> "AlgebraElement":
         """The involution: flip every diagram, keep coefficients."""
@@ -360,18 +441,28 @@ class AlgebraElement:
     def __str__(self):
         if not self.terms:
             return "0"
-        pieces = []
-        for d, c in self.terms.items():
-            cs = str(c)
-            if cs == "1":
-                pieces.append(format_diagram(d))
-            else:
-                if "+" in cs[1:] or "-" in cs[1:]:
-                    cs = f"({cs})"
-                pieces.append(f"{cs}*{format_diagram(d)}")
-        return " + ".join(pieces)
+        return " + ".join([
+            _coefficient_prefix(c) + text for c, text in zip(
+                self.terms.values(),
+                format_diagrams(dots_for_level(self.level), self.terms))])
 
     __repr__ = __str__
+
+
+def _coefficient_prefix(c: ZPoly) -> str:
+    """What an element prints before a diagram with this coefficient:
+    nothing for 1, else the coefficient (bracketed when it has several
+    terms) and "*"."""
+    text = str(c)
+    if text == "1":
+        return ""
+    if "+" in text[1:] or "-" in text[1:]:
+        text = f"({text})"
+    return text + "*"
+
+
+def _first_codes(item) -> tuple:
+    return item[0].codes
 
 
 def _element(level: int, terms: dict) -> AlgebraElement:
@@ -380,15 +471,36 @@ def _element(level: int, terms: dict) -> AlgebraElement:
     coefficients dropped."""
     e = _new(AlgebraElement)
     _set(e, "level", level)
-    _set(e, "terms",
-         {d: terms[d] for d in sorted(terms, key=_codes) if terms[d]})
+    _set(e, "terms", dict(sorted([(d, c) for d, c in terms.items() if c],
+                                 key=_first_codes)))
     return e
+
+
+def _read_codes(text: str, m: int, code: dict) -> tuple:
+    """The canonical codes of the diagram text on m dots.  Tokens are read
+    through code, the per-call table of printed points; text that table
+    cannot read as a diagram covering every point once goes to
+    parse_diagram, which accepts it or raises its own error."""
+    flat = text.strip().replace(" ", "")
+    if flat.startswith("[[") and flat.endswith("]]"):
+        try:
+            blocks = [tuple(sorted([code[tok] for tok in chunk.split(",")]))
+                      for chunk in flat[2:-2].split("],[")]
+        except KeyError:
+            pass
+        else:
+            if sum(map(len, blocks)) == len(set().union(*blocks)) == 2 * m:
+                blocks.sort()
+                return tuple(blocks)
+    return parse_diagram(text, m).codes
 
 
 def parse_element(text: str, level: int) -> AlgebraElement:
     """Parse sums like "[[1,1']] + z*[[1],[1']]" at the given level."""
     m = dots_for_level(level)
-    terms: dict[Diagram, ZPoly] = {}
+    code = {label: c for c, label in enumerate(_labels(m))}
+    coefficient = _OnDemand(parse_zpoly)
+    terms: dict[tuple, ZPoly] = {}
     for chunk in text.split(" + "):
         chunk = chunk.strip()
         if not chunk or chunk == "0":
@@ -398,12 +510,15 @@ def parse_element(text: str, level: int) -> AlgebraElement:
             coef_text = coef_text.strip()
             if coef_text.startswith("(") and coef_text.endswith(")"):
                 coef_text = coef_text[1:-1]
-            coef = parse_zpoly(coef_text)
+            coef = coefficient[coef_text]
         else:
             coef, diag_text = ZPoly.const(1), chunk
-        d = parse_diagram(diag_text.strip(), m)
-        terms[d] = terms.get(d, ZPoly()) + coef
-    return AlgebraElement(level, terms)
+        codes = _read_codes(diag_text, m, code)
+        prev = terms.get(codes)
+        terms[codes] = coef if prev is None else prev + coef
+    # the constructor checks odd-level membership, zero terms included
+    return AlgebraElement(level, {_diagram(m, codes): c
+                                  for codes, c in terms.items()})
 
 
 def embed_up(a: AlgebraElement) -> AlgebraElement:

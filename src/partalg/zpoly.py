@@ -120,6 +120,7 @@ class ZPoly:
     __repr__ = __str__
 
 
+_SIGNED_TERMS = re.compile(r"[+-]?[^+-]+")
 _TERM = re.compile(r"(?P<coef>\d+)?(?P<z>z(\^(?P<exp>\d+))?)?", re.ASCII)
 
 
@@ -129,7 +130,7 @@ def parse_zpoly(text: str) -> ZPoly:
     if not text:
         raise ValueError("empty polynomial")
     # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", text)
+    terms = _SIGNED_TERMS.findall(text)
     if "".join(terms) != text:
         raise ValueError(f"malformed polynomial {text!r}")
     acc = ZPoly()

@@ -7,6 +7,7 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import partalg.cli as cli
@@ -237,3 +238,44 @@ def test_mult_reports_malformed_diagrams_in_diagram_terms():
     for a in ("[[1,-1]]", "[[+1,1_0']]", "[[\u0661,1']]", "[[1'',1]]"):
         assert run(["mult", "--k", "2", "--a", a, "--b", "[[1,1']]"]) == (
             1, "", f"error: malformed diagram {a!r}\n")
+
+
+# (level, operand, stderr) of malformed `mult` operands, as the parser
+# worded them before products and parsing moved to half diagrams
+MALFORMED_OPERANDS = [
+    ("2", "[[1,-1]]", "error: malformed diagram '[[1,-1]]'\n"),
+    ("2", "[[1,1'']]", "error: malformed diagram \"[[1,1'']]\"\n"),
+    ("2", "[[١,1']]", "error: malformed diagram \"[[١,1']]\"\n"),
+    ("2", "[[1,']]", "error: malformed diagram \"[[1,']]\"\n"),
+    ("2", "[[1,3']]", "error: point 3' out of range for 1 dots\n"),
+    ("2", "[[0,1']]", "error: point 0 out of range for 1 dots\n"),
+    ("2", "[[1,0']]", "error: point 0 out of range for 1 dots\n"),
+    ("4", "[[5,1'],[1,2,2']]", "error: point 5 out of range for 2 dots\n"),
+    ("0", "[[1]]", "error: point 1 out of range for 0 dots\n"),
+    ("2", "[[1,1,1']]", "error: point 1 repeated\n"),
+    ("4", "[[1,2'],[2,1'],[1]]", "error: point 1 repeated\n"),
+    ("2", "[[1]]", "error: blocks do not cover all points\n"),
+    ("2", "[]", "error: blocks do not cover all points\n"),
+    ("2", "[[]]", "error: malformed diagram '[[]]'\n"),
+    ("1", "[[1],[1']]", "error: diagram [[1],[1']] not in the odd level 1\n"),
+    ("3", "0*[[1],[2],[1'],[2']]",
+     "error: diagram [[1],[2],[1'],[2']] not in the odd level 3\n"),
+    # every term is read before odd-level membership is checked
+    ("3", "[[1],[2],[1'],[2']] + [[1,2,1',2'",
+     "error: malformed diagram \"[[1,2,1',2'\"\n"),
+    ("2", "[[1,1']]+[[1],[1']]",
+     "error: malformed diagram \"[[1,1']]+[[1],[1']]\"\n"),
+    ("4", "(3\n)*[[1,1'],[2,2']]", "error: malformed term '3\\n'\n"),
+    ("2", "x*[[1,1']]", "error: malformed term 'x'\n"),
+    ("2", "(z+)*[[1,1']]", "error: malformed polynomial 'z+'\n"),
+]
+
+
+@pytest.mark.parametrize("k, operand, err", MALFORMED_OPERANDS)
+def test_malformed_mult_operands_keep_their_messages(k, operand, err):
+    identity = {"0": "[]", "1": "[[1,1']]", "2": "[[1,1']]",
+                "3": "[[1,1'],[2,2']]", "4": "[[1,1'],[2,2']]"}[k]
+    assert run(["mult", "--k", k, "--a", operand, "--b", identity]) == (
+        1, "", err)
+    assert run(["mult", "--k", k, "--a", identity, "--b", operand]) == (
+        1, "", err)

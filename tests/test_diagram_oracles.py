@@ -12,7 +12,8 @@ import random
 import pytest
 
 from partalg.diagrams import (AlgebraElement, Diagram, compose, embed_up,
-                              enumerate_diagrams, format_diagram)
+                              enumerate_diagrams, format_diagram,
+                              identity_diagram)
 from partalg.zpoly import ZPoly
 
 
@@ -188,3 +189,61 @@ def test_products_print_like_the_oracle(level):
         assert str(embed_up(a)) == oracle_str(
             {Diagram(d.dots + 1, list(d.blocks) + [[d.dots + 1, -d.dots - 1]])
              if level % 2 == 0 else d: c for d, c in a.terms.items()})
+
+
+BIG = 10 ** 30
+
+
+def _wide_element(rng, diags, level, terms):
+    """Up to terms diagrams, each with up to three coefficients drawn from
+    +-10^30, +-1 and 0, so products exercise the packing width."""
+    picks = rng.sample(diags, min(terms, len(diags)))
+    return AlgebraElement(level, {d: ZPoly([
+        rng.choice((BIG, -BIG, rng.randint(-BIG, BIG), 1, -1, 0))
+        for _ in range(rng.randint(1, 3))]) for d in picks})
+
+
+def _cancelling_pair(diags):
+    """(x1, x2, y) with x1 y = x2 y, the same number of deleted components,
+    and x1 != x2; None when the level has no such triple."""
+    for y in diags:
+        seen = {}
+        for x in diags:
+            key = oracle_compose(x, y)
+            if key in seen:
+                return seen[key], x, y
+            seen[key] = x
+    return None
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_products_match_the_oracle(level):
+    diags = enumerate_diagrams(level)
+    rng = random.Random(9001 + level)
+    one = AlgebraElement.one(level)
+    zero = AlgebraElement.zero(level)
+    for _ in range(6):
+        a = _wide_element(rng, diags, level, rng.randint(1, 30))
+        b = _wide_element(rng, diags, level, rng.randint(1, 30))
+        assert str(a * b) == oracle_product(a, b)
+        assert a * one == one * a == a
+        assert a * zero == zero * a == zero
+    # one constant term each at +-10^30: the product's coefficient is the
+    # packing bound itself
+    for ca, cb in ((BIG, BIG), (BIG, -BIG), (-BIG, -BIG)):
+        for la, lb in ((1, 1), (3, 2)):
+            x, y = rng.choice(diags), rng.choice(diags)
+            a = AlgebraElement(level, {x: ZPoly([ca, -ca, ca][:la])})
+            b = AlgebraElement(level, {y: ZPoly([cb, cb][:lb])})
+            assert str(a * b) == oracle_product(a, b)
+    found = _cancelling_pair(diags)
+    if found is not None:
+        x1, x2, y = found
+        c = ZPoly([BIG, 0, -BIG])
+        a = AlgebraElement(level, {x1: c, x2: -c})
+        b = AlgebraElement(level, {y: ZPoly([BIG])})
+        assert oracle_product(a, b) == "0"
+        assert a * b == zero
+        # the cancelled output next to surviving ones
+        a = a + AlgebraElement(level, {identity_diagram(x1.dots): c})
+        assert str(a * b) == oracle_product(a, b) != "0"

@@ -192,6 +192,8 @@ def test_element_parse_and_str():
     elt = parse_element("[[1,1']] + z*[[1],[1']]", 2)
     assert str(elt) == "z*[[1],[1']] + [[1,1']]"
     assert parse_element(str(elt), 2) == elt
+    # spaces, and tokens only the validating parser reads
+    assert parse_element("z * [[1], [1']] + [[01,1']]", 2) == elt
     zero = parse_element("0", 2)
     assert zero == AlgebraElement.zero(2)
 
