@@ -180,31 +180,58 @@ def format_diagram(d: Diagram) -> str:
     return format_diagrams(d.dots, (d,))[0]
 
 
-def parse_diagram(text: str, dots: int | None = None) -> Diagram:
-    text = text.strip().replace(" ", "")
-    if not (text.startswith("[") and text.endswith("]")):
+def _point(tok: str, text: str) -> int:
+    """The signed point a token of the diagram text names."""
+    # ASCII digits and an optional prime; int() alone would also take
+    # signs, underscores and non-ASCII digits
+    primed = tok.endswith("'")
+    digits = tok[:-1] if primed else tok
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"malformed diagram {text!r}")
-    inner = text[1:-1]
-    blocks: list[list[int]] = []
-    points: set[int] = set()
-    if inner:
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ValueError(f"malformed diagram {text!r}")
-        for chunk in inner[1:-1].split("],["):
-            block = []
-            for tok in chunk.split(","):
-                # ASCII digits and an optional prime; int() alone would
-                # also take signs, underscores and non-ASCII digits
-                primed = tok.endswith("'")
-                digits = tok[:-1] if primed else tok
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError(f"malformed diagram {text!r}")
-                block.append(-int(digits) if primed else int(digits))
-            blocks.append(block)
-            points.update(block)
+    return -int(digits) if primed else int(digits)
+
+
+def _read_diagram(text: str, dots: int | None, code: dict) -> Diagram:
+    """The diagram written as text, like [[1,2'],[2],[1']], on dots (by
+    default the largest point written).  code maps each printed point of
+    dots ("1", ..., "1'", ...) to its code.  A token it lacks (a point
+    written another way, such as 01, one out of range or a malformed
+    token), or text that does not cover every point once, is read point
+    by point: _point names a malformed token, the Diagram constructor any
+    other fault."""
+    flat = text.strip().replace(" ", "")
+    if flat == "[]":
+        chunks = []
+    elif flat.startswith("[[") and flat.endswith("]]"):
+        chunks = [chunk.split(",") for chunk in flat[2:-2].split("],[")]
+    else:
+        raise ValueError(f"malformed diagram {flat!r}")
+    try:
+        blocks = [tuple(sorted([code[tok] for tok in toks]))
+                  for toks in chunks]
+    except KeyError:
+        blocks = None
+    # table codes lie in 0..2m-1, so 2m of them, all distinct, cover
+    if blocks and sum(map(len, blocks)) == len(set().union(*blocks)) == (
+            2 * dots):
+        blocks.sort()
+        return _diagram(dots, tuple(blocks))
+    points = [[_point(tok, flat) for tok in toks] for toks in chunks]
     if dots is None:
-        dots = max((abs(p) for p in points), default=0)
-    return Diagram(dots, blocks)
+        dots = max((abs(p) for block in points for p in block), default=0)
+    return Diagram(dots, points)
+
+
+def _point_codes(m: int) -> dict[str, int]:
+    """The code of each printed point on m dots."""
+    return {label: c for c, label in enumerate(_labels(m))}
+
+
+def parse_diagram(text: str, dots: int | None = None) -> Diagram:
+    """Read a diagram written like [[1,2'],[2],[1']] on dots, by default
+    the largest point written."""
+    code = {} if dots is None else _point_codes(dots)
+    return _read_diagram(text, dots, code)
 
 
 def identity_diagram(m: int) -> Diagram:
@@ -476,31 +503,11 @@ def _element(level: int, terms: dict) -> AlgebraElement:
     return e
 
 
-def _read_codes(text: str, m: int, code: dict) -> tuple:
-    """The canonical codes of the diagram text on m dots.  Tokens are read
-    through code, the per-call table of printed points; text that table
-    cannot read as a diagram covering every point once goes to
-    parse_diagram, which accepts it or raises its own error."""
-    flat = text.strip().replace(" ", "")
-    if flat.startswith("[[") and flat.endswith("]]"):
-        try:
-            blocks = [tuple(sorted([code[tok] for tok in chunk.split(",")]))
-                      for chunk in flat[2:-2].split("],[")]
-        except KeyError:
-            pass
-        else:
-            if sum(map(len, blocks)) == len(set().union(*blocks)) == 2 * m:
-                blocks.sort()
-                return tuple(blocks)
-    return parse_diagram(text, m).codes
-
-
 def parse_element(text: str, level: int) -> AlgebraElement:
     """Parse sums like "[[1,1']] + z*[[1],[1']]" at the given level."""
     m = dots_for_level(level)
-    code = {label: c for c, label in enumerate(_labels(m))}
-    coefficient = _OnDemand(parse_zpoly)
-    terms: dict[tuple, ZPoly] = {}
+    code = _point_codes(m)
+    terms: dict[Diagram, ZPoly] = {}
     for chunk in text.split(" + "):
         chunk = chunk.strip()
         if not chunk or chunk == "0":
@@ -510,15 +517,14 @@ def parse_element(text: str, level: int) -> AlgebraElement:
             coef_text = coef_text.strip()
             if coef_text.startswith("(") and coef_text.endswith(")"):
                 coef_text = coef_text[1:-1]
-            coef = coefficient[coef_text]
+            coef = parse_zpoly(coef_text)
         else:
             coef, diag_text = ZPoly.const(1), chunk
-        codes = _read_codes(diag_text, m, code)
-        prev = terms.get(codes)
-        terms[codes] = coef if prev is None else prev + coef
+        d = _read_diagram(diag_text, m, code)
+        prev = terms.get(d)
+        terms[d] = coef if prev is None else prev + coef
     # the constructor checks odd-level membership, zero terms included
-    return AlgebraElement(level, {_diagram(m, codes): c
-                                  for codes, c in terms.items()})
+    return AlgebraElement(level, terms)
 
 
 def embed_up(a: AlgebraElement) -> AlgebraElement:
