@@ -10,12 +10,14 @@ number of that level.
 A path is stored as a tuple of shapes, one per level starting at level 0.
 Paths with a common endpoint are totally ordered: compare at the largest
 level where they differ, using the size-graded dominance order on shapes.
-enumerate_paths returns them in descending order.
+enumerate_paths returns them in descending order.  walk_paths is the one
+walk behind every path list: it builds each path as a tuple (PATH_TUPLES) or
+straight as its text (PATH_TEXT), extending each parent's paths once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable
 from functools import cache
 from typing import NamedTuple
 
@@ -100,17 +102,43 @@ def cell_dimension(v: Vertex) -> int:
     return sum(cell_dimension(u) for u in parents(v))
 
 
+def _bracketed(s: Partition) -> str:
+    return "[" + ",".join(map(str, s)) + "]"
+
+
+# how a walk builds a path: (the path at (empty, 0), the piece a shape
+# appends one level up); each piece is made once per vertex of the walk
+PATH_TUPLES = (((),), lambda s: (s,))
+PATH_TEXT = ("[]", lambda s: "," + _bracketed(s))
+
+
+def walk_paths(v: Vertex, form=PATH_TUPLES,
+               rule: Callable[[Vertex], list[Vertex] | None] | None = None
+               ) -> list:
+    """The paths from (empty, 0) to v in descending path order, each built
+    in `form`, with no level bound.  rule(u) names the parents whose paths u
+    extends, or None where u takes every path to it; without a rule every
+    vertex does.  Memoised per call and recursing once per level, so a level
+    deeper than the recursion limit raises RecursionError."""
+    start, piece = form
+
+    @cache
+    def rec(u: Vertex, every: bool) -> list:
+        kept = None if every else rule(u)
+        if kept is None:
+            if u.level == 0:
+                return [start] if u.shape == () else []
+            kept, every = parents(u), True
+        tail = piece(u.shape)
+        return [p + tail for w in kept for p in rec(w, every)]
+
+    return rec(v, rule is None)
+
+
 def enumerate_paths(v: Vertex, max_level: int = DEFAULT_MAX_LEVEL) -> list[Path]:
     """All paths from (empty, 0) to v, in descending path order."""
     guard("path enumeration level", v.level, "max_level", max_level)
-
-    @cache
-    def rec(u: Vertex) -> tuple[Path, ...]:
-        if u.level == 0:
-            return ((u.shape,),) if u.shape == () else ()
-        return tuple(p + (u.shape,) for w in parents(u) for p in rec(w))
-
-    return list(rec(v))
+    return walk_paths(v)
 
 
 def check_path(t) -> Path:
@@ -154,10 +182,11 @@ def path_succ(s: Path, t: Path) -> bool:
     return False
 
 
-def format_paths(paths: Sequence[Path]) -> list[str]:
-    """Each path as "[],[],[1],[1]", rendering each distinct shape once."""
-    pieces = {s: "[" + ",".join(map(str, s)) + "]"
-              for s in set().union(*paths)}
+def format_paths(paths: Iterable[Path]) -> list[str]:
+    """Each path as "[],[],[1],[1]", rendering each distinct shape once.
+    The text walk (walk_paths with PATH_TEXT) builds the same strings."""
+    paths = tuple(paths)
+    pieces = {s: _bracketed(s) for s in set().union(*paths)}
     return [",".join(map(pieces.__getitem__, t)) for t in paths]
 
 

@@ -188,6 +188,10 @@ def test_format_parse_paths():
     s = ((), (), (1,), (1,), (2,), (2,), (3,))
     assert parse_path(format_path(s)) == s
     assert format_paths([]) == []
+    # any iterable, read once: a generator gives every path, not none
+    want = format_paths(enumerate_paths(Vertex((1,), 4)))
+    assert len(want) == 3
+    assert format_paths(t for t in enumerate_paths(Vertex((1,), 4))) == want
 
 
 def test_format_paths_matches_per_shape_rendering():
