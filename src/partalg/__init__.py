@@ -12,9 +12,9 @@ package root does not load.
 """
 
 from .branching import (Path, Vertex, cell_dimension, check_path,
-                        dominance_geq, enumerate_paths, format_path,
-                        format_paths, is_edge, parents, parse_path, path_succ,
-                        truncate, vertex, vertices_at_level)
+                        dominance_geq, enumerate_paths, format_path, is_edge,
+                        parents, parse_path, path_succ, truncate, vertex,
+                        vertices_at_level)
 from .diagrams import (AlgebraElement, Diagram, compose, dots_for_level,
                        embed_up, enumerate_diagrams, format_diagram,
                        identity_diagram, parse_diagram, parse_element)
@@ -43,7 +43,7 @@ __all__ = [
     "compose", "decomposition_row", "dominance_geq", "dominates",
     "dots_for_level", "embed_up", "emit_dot", "enumerate_diagrams",
     "enumerate_paths", "first_padded_n", "format_diagram", "format_partition",
-    "format_path", "format_paths", "identity_diagram", "is_edge",
+    "format_path", "identity_diagram", "is_edge",
     "kronecker_coefficient", "kronecker_sequence", "mn_character",
     "node_content", "pad", "padded_kronecker", "parents", "parse_diagram",
     "parse_element", "parse_partition", "parse_path", "parse_zpoly",

@@ -10,14 +10,15 @@ number of that level.
 A path is stored as a tuple of shapes, one per level starting at level 0.
 Paths with a common endpoint are totally ordered: compare at the largest
 level where they differ, using the size-graded dominance order on shapes.
-enumerate_paths returns them in descending order.  walk_paths is the one
-walk behind every path list: it builds each path as a tuple (PATH_TUPLES) or
-straight as its text (PATH_TEXT), extending each parent's paths once.
+enumerate_paths returns them in descending order, each as a tuple
+(PATH_TUPLES) or straight as its text (PATH_TEXT).  It and
+modules.permissible_paths are the two path lists; walk_paths is the one
+memoised walk behind both, extending each parent's paths once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from functools import cache
 from typing import NamedTuple
 
@@ -109,10 +110,10 @@ def _bracketed(s: Partition) -> str:
 # how a walk builds a path: (the path at (empty, 0), the piece a shape
 # appends one level up); each piece is made once per vertex of the walk
 PATH_TUPLES = (((),), lambda s: (s,))
-PATH_TEXT = ("[]", lambda s: "," + _bracketed(s))
+PATH_TEXT = (_bracketed(()), lambda s: "," + _bracketed(s))
 
 
-def walk_paths(v: Vertex, form=PATH_TUPLES,
+def walk_paths(v: Vertex, form,
                rule: Callable[[Vertex], list[Vertex] | None] | None = None
                ) -> list:
     """The paths from (empty, 0) to v in descending path order, each built
@@ -135,10 +136,12 @@ def walk_paths(v: Vertex, form=PATH_TUPLES,
     return rec(v, rule is None)
 
 
-def enumerate_paths(v: Vertex, max_level: int = DEFAULT_MAX_LEVEL) -> list[Path]:
-    """All paths from (empty, 0) to v, in descending path order."""
+def enumerate_paths(v: Vertex, max_level: int | None = DEFAULT_MAX_LEVEL,
+                    form=PATH_TUPLES) -> list:
+    """All paths from (empty, 0) to v, in descending path order, each built
+    in `form`: a tuple of shapes (PATH_TUPLES) or its text (PATH_TEXT)."""
     guard("path enumeration level", v.level, "max_level", max_level)
-    return walk_paths(v)
+    return walk_paths(v, form)
 
 
 def check_path(t) -> Path:
@@ -151,10 +154,6 @@ def check_path(t) -> Path:
             raise ValueError(
                 f"no edge from {t[i - 1]} to {t[i]} at level {i}")
     return t
-
-
-def path_endpoint(t: Path) -> Vertex:
-    return Vertex(t[-1], len(t) - 1)
 
 
 def truncate(t: Path, r: int) -> Path:
@@ -182,16 +181,9 @@ def path_succ(s: Path, t: Path) -> bool:
     return False
 
 
-def format_paths(paths: Iterable[Path]) -> list[str]:
-    """Each path as "[],[],[1],[1]", rendering each distinct shape once.
-    The text walk (walk_paths with PATH_TEXT) builds the same strings."""
-    paths = tuple(paths)
-    pieces = {s: _bracketed(s) for s in set().union(*paths)}
-    return [",".join(map(pieces.__getitem__, t)) for t in paths]
-
-
 def format_path(t: Path) -> str:
-    return format_paths((t,))[0]
+    """The path as "[],[],[1],[1]", the text PATH_TEXT builds."""
+    return ",".join(map(_bracketed, t))
 
 
 def parse_path(text: str) -> Path:

@@ -20,8 +20,8 @@ import io
 import json
 import sys
 
-from .branching import (PATH_TEXT, cell_dimension, vertex, vertices_at_level,
-                        walk_paths)
+from .branching import (PATH_TEXT, cell_dimension, enumerate_paths, vertex,
+                        vertices_at_level)
 from .diagrams import (dots_for_level, enumerate_diagrams, format_diagrams,
                        parse_element)
 from .dot import emit_dot
@@ -29,7 +29,7 @@ from .errors import (DEFAULT_MAX_LEVEL, DEFAULT_MAX_N, InternalCheckError,
                      ResourceLimitError, guard)
 from .kronecker import (check_monotone, kronecker_at, kronecker_sequence,
                         stable_kronecker, stable_level)
-from .modules import (blocks_at_level, decomposition_row, permissible_walk,
+from .modules import (blocks_at_level, decomposition_row, permissible_paths,
                       radical_dimension, restrict_cell, restrict_simple,
                       simple_dimension)
 from .partitions import format_partition, parse_partition
@@ -72,7 +72,7 @@ def cmd_mult(args) -> None:
 
 def cmd_paths(args) -> None:
     v = vertex(args.lam, args.k)
-    paths = walk_paths(v, PATH_TEXT)
+    paths = enumerate_paths(v, None, PATH_TEXT)
     _emit({"vertex": _vertex_json(v), "count": len(paths), "paths": paths})
 
 
@@ -132,7 +132,7 @@ def cmd_restrict(args) -> None:
 
 def cmd_permissible(args) -> None:
     v = vertex(args.lam, args.k)
-    paths = permissible_walk(v, args.n, PATH_TEXT)
+    paths = permissible_paths(v, args.n, None, PATH_TEXT)
     _emit({"vertex": _vertex_json(v), "n": args.n, "count": len(paths),
            "paths": paths})
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .branching import (PATH_TUPLES, Path, Vertex, cell_dimension, parents,
+from .branching import (PATH_TUPLES, Vertex, cell_dimension, parents,
                         vertices_at_level, walk_paths)
 from .errors import DEFAULT_MAX_LEVEL, guard
 from .geometry import position, reflected_vertex
@@ -98,22 +98,18 @@ def simple_dimension(v: Vertex, n: int) -> int:
     return _simple_dimension(v, n)
 
 
-def permissible_walk(v: Vertex, n: int, form=PATH_TUPLES) -> list:
+def permissible_paths(v: Vertex, n: int,
+                      max_level: int | None = DEFAULT_MAX_LEVEL,
+                      form=PATH_TUPLES) -> list:
     """The paths to v that survive at parameter n, in descending path order,
-    built in `form` (see branching.walk_paths), with no level bound.
+    each built in `form` (see branching.enumerate_paths).
 
     The restriction recursion of simple_dimension, walked path by path:
     every path to a wall vertex (or to level 0) survives, and an alcove
     vertex extends the surviving paths of its simple parents.
     """
-    return walk_paths(v, form, lambda u: _simple_parents(u, n))
-
-
-def permissible_paths(v: Vertex, n: int,
-                      max_level: int = DEFAULT_MAX_LEVEL) -> list[Path]:
-    """Paths to v that survive at parameter n, in descending path order."""
     guard("path enumeration level", v.level, "max_level", max_level)
-    return permissible_walk(v, n)
+    return walk_paths(v, form, lambda u: _simple_parents(u, n))
 
 
 def radical_dimension(v: Vertex, n: int) -> int:

@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from partalg.branching import (Vertex, cell_dimension, check_path,
                                dominance_geq, enumerate_paths, format_path,
-                               format_paths, is_edge, parents, parse_path,
-                               path_endpoint, path_succ, truncate, vertex,
-                               vertices_at_level)
+                               is_edge, parents, parse_path, path_succ,
+                               truncate, vertex, vertices_at_level)
 from partalg.errors import ResourceLimitError
 from partalg.modules import permissible_paths
 from partalg.partitions import (addable_nodes, format_partition, is_partition,
@@ -172,10 +171,9 @@ def test_check_path_rejects_non_edges():
         check_path(((), (), (1,), (2, 1)))
 
 
-def test_truncate_and_endpoint():
+def test_truncate():
     t = ((), (), (1,), (1,), (2,))
     assert truncate(t, 2) == ((), (), (1,))
-    assert path_endpoint(t) == Vertex((2,), 4)
     with pytest.raises(ValueError):
         truncate(t, 5)
 
@@ -187,16 +185,12 @@ def test_format_parse_paths():
     assert parse_path(text) == t
     s = ((), (), (1,), (1,), (2,), (2,), (3,))
     assert parse_path(format_path(s)) == s
-    assert format_paths([]) == []
-    # any iterable, read once: a generator gives every path, not none
-    want = format_paths(enumerate_paths(Vertex((1,), 4)))
-    assert len(want) == 3
-    assert format_paths(t for t in enumerate_paths(Vertex((1,), 4))) == want
 
 
-def test_format_paths_matches_per_shape_rendering():
-    """One shape table per call renders every path as the per-shape
-    rendering does, for all paths and all permissible paths to k <= 10."""
+def test_format_path_matches_per_shape_rendering():
+    """format_path renders every path as the per-shape rendering does, and
+    parse_path reads it back, for all paths and all permissible paths to
+    k <= 10."""
     def reference(t):
         return ",".join("[" + (format_partition(s) if s else "") + "]"
                         for s in t)
@@ -207,10 +201,9 @@ def test_format_paths_matches_per_shape_rendering():
             families.append(enumerate_paths(v))
             families += [permissible_paths(v, n) for n in range(7)]
     for paths in families:
-        texts = format_paths(paths)
-        assert texts == [reference(t) for t in paths]
-        for t, text in zip(paths, texts):
-            assert format_path(t) == text
+        for t in paths:
+            text = format_path(t)
+            assert text == reference(t)
             assert parse_path(text) == t
 
 

@@ -1,5 +1,5 @@
 """One path walk, two forms: the text the CLI prints is built by the same
-walk as the tuples the library returns, and equals format_paths of them."""
+walk as the tuples the library returns, and equals format_path of each."""
 
 import contextlib
 import hashlib
@@ -8,13 +8,12 @@ import json
 
 import pytest
 
-import partalg
 import partalg.branching as branching
 import partalg.cli as cli
 import partalg.modules as modules
 from partalg.branching import (PATH_TEXT, Vertex, enumerate_paths,
-                               format_paths, vertices_at_level, walk_paths)
-from partalg.modules import permissible_paths, permissible_walk
+                               format_path, vertices_at_level)
+from partalg.modules import permissible_paths
 
 
 def vertices(kmax):
@@ -34,18 +33,23 @@ def run(argv):
 
 def test_text_walk_equals_formatted_paths():
     for v in vertices(11):
-        texts = walk_paths(v, PATH_TEXT)
-        assert texts == format_paths(enumerate_paths(v)), v
+        texts = enumerate_paths(v, form=PATH_TEXT)
+        assert texts == [format_path(t) for t in enumerate_paths(v)], v
 
 
 def test_permissible_text_walk_equals_formatted_permissible_paths():
     for v in vertices(11):
         for n in range(8):
-            texts = permissible_walk(v, n, PATH_TEXT)
-            assert texts == format_paths(permissible_paths(v, n)), (v, n)
-    assert permissible_walk(Vertex((), 0), 0, PATH_TEXT) == ["[]"]
+            texts = permissible_paths(v, n, form=PATH_TEXT)
+            want = [format_path(t) for t in permissible_paths(v, n)]
+            assert texts == want, (v, n)
+    assert permissible_paths(Vertex((), 0), 0, form=PATH_TEXT) == ["[]"]
     # the simple of the empty shape vanishes at n = 0 on even levels >= 2
-    assert permissible_walk(Vertex((), 2), 0, PATH_TEXT) == []
+    assert permissible_paths(Vertex((), 2), 0, form=PATH_TEXT) == []
+    # None lifts the level bound, as the CLI passes it
+    deep = permissible_paths(Vertex((1,), 15), 3, None, PATH_TEXT)
+    assert deep == [format_path(t)
+                    for t in permissible_paths(Vertex((1,), 15), 3, 15)]
 
 
 def test_walks_return_what_the_tuple_walks_returned():
@@ -72,10 +76,13 @@ def test_path_verbs_print_without_the_tuple_walks(argv, monkeypatch):
     want = run(argv)
     assert want[0] == 0 and json.loads(want[1])["paths"] is not None
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the CLI built path tuples")
+    walk, forms = branching.walk_paths, []
 
-    for mod in (partalg, branching, modules, cli):
-        for name in ("format_paths", "enumerate_paths", "permissible_paths"):
-            monkeypatch.setattr(mod, name, refuse, raising=False)
+    def spy(v, form, rule=None):
+        forms.append(form)
+        return walk(v, form, rule)
+
+    for mod in (branching, modules):
+        monkeypatch.setattr(mod, "walk_paths", spy)
     assert run(argv) == want
+    assert forms and all(form is PATH_TEXT for form in forms)
