@@ -23,7 +23,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import DEFAULT_MAX_LEVEL, guard
-from .partitions import (Partition, addable_nodes, check_partition, dominates,
+from .partitions import (Partition, addable_nodes, check_partition,
                          format_partition, parse_partition, partitions_up_to,
                          removable_nodes, strictly_dominates)
 
@@ -88,13 +88,6 @@ def parents(v: Vertex) -> list[Vertex]:
     return out
 
 
-def is_edge(u: Vertex, v: Vertex) -> bool:
-    """True when u -> v is a branching edge (u one level below v)."""
-    if u.level != v.level - 1:
-        return False
-    return u in parents(v)
-
-
 @cache
 def cell_dimension(v: Vertex) -> int:
     """Number of paths from (empty, 0) to v."""
@@ -150,24 +143,10 @@ def check_path(t) -> Path:
     if not t or t[0] != ():
         raise ValueError("paths start at the empty shape on level 0")
     for i in range(1, len(t)):
-        if not is_edge(Vertex(t[i - 1], i - 1), Vertex(t[i], i)):
+        if Vertex(t[i - 1], i - 1) not in parents(Vertex(t[i], i)):
             raise ValueError(
                 f"no edge from {t[i - 1]} to {t[i]} at level {i}")
     return t
-
-
-def truncate(t: Path, r: int) -> Path:
-    """The sub-path through level r."""
-    if not 0 <= r < len(t):
-        raise ValueError(f"level {r} outside path of length {len(t) - 1}")
-    return t[: r + 1]
-
-
-def dominance_geq(a: Vertex, b: Vertex) -> bool:
-    """Size-graded dominance on same-level vertices."""
-    if a.level != b.level:
-        raise ValueError("vertices on different levels are incomparable")
-    return dominates(a.shape, b.shape)
 
 
 def path_succ(s: Path, t: Path) -> bool:

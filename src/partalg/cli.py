@@ -2,7 +2,8 @@
 
 Every verb prints deterministic JSON (CSV where `--format csv` is asked for;
 `graph-dot` prints DOT), so runs are byte-for-byte reproducible.  Exit codes:
-0 success, 1 domain error, 2 usage error, 3 refusal on a resource bound.
+0 success, 1 domain error, 2 usage error, 3 refusal on a resource bound,
+141 (128 + SIGPIPE) when stdout is closed before the output is written.
 Every bound is checked here, before the work it bounds: `--max-k` in main,
 `--max-n` in the Kronecker handlers.
 
@@ -18,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .branching import (PATH_TEXT, cell_dimension, enumerate_paths, vertex,
@@ -307,6 +309,13 @@ def main(argv=None) -> int:
         if "--max-k" in VERBS[args.verb][1]:
             guard("level", args.k, "--max-k", args.max_k)
         args.fn(args)
+        sys.stdout.flush()   # here, not at interpreter exit, if it fails
+    except BrokenPipeError:
+        # the reader is gone: the unwritten rest goes to devnull, so the
+        # flush at exit cannot fail again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except argparse.ArgumentError as exc:
         (parser or build_parser(verb)).error(str(exc))
     except (ResourceLimitError, RecursionError) as exc:

@@ -134,7 +134,8 @@ class Diagram:
         raise AssertionError("unreachable")
 
     def __str__(self):
-        return format_diagram(self)
+        """Render like [[1,2'],[2],[1']]; primes mark northern points."""
+        return format_diagrams(self.dots, (self,))[0]
 
     __repr__ = __str__
 
@@ -167,17 +168,12 @@ def _labels(m: int) -> list[str]:
 
 
 def format_diagrams(dots: int, diagrams) -> list[str]:
-    """Render diagrams on the given dot count like format_diagram, building
-    the text of each distinct block once per call."""
+    """Render diagrams on the given dot count as str(d) does, building the
+    text of each distinct block once per call."""
     labels = _labels(dots)
     block = _OnDemand(lambda b: "[" + ",".join([labels[c] for c in b]) + "]")
     text = block.__getitem__
     return ["[" + ",".join(map(text, d.codes)) + "]" for d in diagrams]
-
-
-def format_diagram(d: Diagram) -> str:
-    """Render like [[1,2'],[2],[1']]; primes mark northern points."""
-    return format_diagrams(d.dots, (d,))[0]
 
 
 def _point(tok: str, text: str) -> int:
@@ -232,10 +228,6 @@ def parse_diagram(text: str, dots: int | None = None) -> Diagram:
     the largest point written."""
     code = {} if dots is None else _point_codes(dots)
     return _read_diagram(text, dots, code)
-
-
-def identity_diagram(m: int) -> Diagram:
-    return _diagram(m, tuple((i, m + i) for i in range(m)))
 
 
 def _halves(terms: dict, upper: bool, w: int) -> dict:
@@ -423,7 +415,9 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, level: int) -> "AlgebraElement":
-        return cls.from_diagram(identity_diagram(dots_for_level(level)), level)
+        m = dots_for_level(level)   # each dot joined to its primed partner
+        return cls.from_diagram(
+            _diagram(m, tuple((i, m + i) for i in range(m))), level)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)

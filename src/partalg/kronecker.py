@@ -105,10 +105,6 @@ def mn_character(shape: Partition, cycle: Partition) -> int:
     return _character(_betas(shape), cycle)
 
 
-def character_degree(shape: Partition) -> int:
-    return mn_character(shape, (1,) * sum(shape)) if shape else 1
-
-
 def pad(lam: Partition, n: int) -> Partition | None:
     """lam_[n]: first row n - |lam| on top of lam, or None when that row
     would be shorter than lam_1, i.e. when n < |lam| + lam_1.  The padding

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partalg.branching import (Vertex, cell_dimension, check_path,
-                               dominance_geq, enumerate_paths, format_path,
-                               is_edge, parents, parse_path, path_succ,
-                               truncate, vertex, vertices_at_level)
+                               enumerate_paths, format_path, parents,
+                               parse_path, path_succ, vertex,
+                               vertices_at_level)
 from partalg.errors import ResourceLimitError
 from partalg.modules import permissible_paths
-from partalg.partitions import (addable_nodes, format_partition, is_partition,
-                                removable_nodes, row, strictly_dominates)
+from partalg.partitions import (addable_nodes, dominates, format_partition,
+                                is_partition, removable_nodes, row,
+                                strictly_dominates)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -70,7 +71,7 @@ def test_parents_are_dominance_decreasing():
         for v in vertices_at_level(k):
             ps = parents(v)
             for a, b in zip(ps, ps[1:]):
-                assert dominance_geq(a, b) and a != b
+                assert dominates(a.shape, b.shape) and a != b
 
 
 @given(partition_st)
@@ -104,11 +105,11 @@ def test_single_node_moves_are_comparable(lam):
 
 
 def test_is_edge():
-    assert is_edge(Vertex((), 3), Vertex((), 4))
-    assert is_edge(Vertex((1,), 3), Vertex((1,), 4))
-    assert is_edge(Vertex((2,), 4), Vertex((1,), 5))
-    assert not is_edge(Vertex((2,), 4), Vertex((), 5))
-    assert not is_edge(Vertex((), 2), Vertex((), 4))
+    assert Vertex((), 3) in parents(Vertex((), 4))
+    assert Vertex((1,), 3) in parents(Vertex((1,), 4))
+    assert Vertex((2,), 4) in parents(Vertex((1,), 5))
+    assert Vertex((2,), 4) not in parents(Vertex((), 5))
+    assert Vertex((), 2) not in parents(Vertex((), 4))
 
 
 def test_cell_dimensions_level_6():
@@ -171,13 +172,6 @@ def test_check_path_rejects_non_edges():
         check_path(((), (), (1,), (2, 1)))
 
 
-def test_truncate():
-    t = ((), (), (1,), (1,), (2,))
-    assert truncate(t, 2) == ((), (), (1,))
-    with pytest.raises(ValueError):
-        truncate(t, 5)
-
-
 def test_format_parse_paths():
     t = ((), (), (1,), (1,), (1,), (), ())
     text = format_path(t)
@@ -205,13 +199,6 @@ def test_format_path_matches_per_shape_rendering():
             text = format_path(t)
             assert text == reference(t)
             assert parse_path(text) == t
-
-
-def test_dominance_geq_needs_same_level():
-    with pytest.raises(ValueError):
-        dominance_geq(Vertex((), 2), Vertex((), 3))
-    assert dominance_geq(Vertex((1,), 6), Vertex((2,), 6))
-    assert dominance_geq(Vertex((2,), 6), Vertex((1, 1), 6))
 
 
 def test_path_enumeration_bound():

@@ -2,8 +2,10 @@
 import rule that keeps those routes out of production."""
 
 import ast
+import doctest
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +27,7 @@ from partalg.oracles import (brute_force_linkage_classes, first_semisimple_n,
 from partalg.partitions import partitions_of, partitions_up_to
 
 PACKAGE = Path(partalg.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_permissible_walk_equals_the_path_filter():
@@ -286,6 +289,40 @@ def test_no_module_imports_the_oracles_at_module_level():
     closure = _names_reached(tree, "brute_force_linkage_classes")
     assert chain_names and "edge_content" in closure
     assert not closure & chain_names
+
+
+def _reads(node, inside=()):
+    """(name, enclosing definitions) for every Name or Attribute that node
+    and its children read."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id, inside
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, inside
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, inside)
+
+
+def test_every_export_has_a_caller():
+    """A name stays in partalg.__all__ only if something reaches it: a
+    module of the package other than __init__.py reads it outside its own
+    definition (oracles.py and the name's home module count), or the
+    README's library tour does.  A name the paper defines but no verb or
+    oracle calls stays only with a tour line.  The rule cannot see a
+    wrapper whose one caller sits in its home module (is_edge in
+    check_path, format_diagram in Diagram.__str__, identity_diagram in
+    AlgebraElement.one were such); those are inlined by review instead."""
+    used = {name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
+            for name, inside in _reads(ast.parse(p.read_text()))
+            if name not in inside}
+    tour = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                      re.M | re.S)
+    toured = {name for block in tour
+              for example in doctest.DocTestParser().get_examples(block)
+              for name, _ in _reads(ast.parse(example.source))}
+    assert tour and "parse_diagram" in toured
+    assert sorted(set(partalg.__all__) - used - toured) == []
 
 
 def loaded_at_start(module):
