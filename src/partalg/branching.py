@@ -18,6 +18,7 @@ memoised walk behind both, extending each parent's paths once.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from functools import cache
 from typing import NamedTuple
@@ -165,27 +166,19 @@ def format_path(t: Path) -> str:
     return ",".join(map(_bracketed, t))
 
 
+# the grammar of stripped path text: bracketed shapes joined by commas,
+# whitespace around each comma; a shape is whatever its brackets hold
+_PATH = re.compile(r"\[[^\[\]]*\](?:\s*,\s*\[[^\[\]]*\])*")
+_SHAPE = re.compile(r"\[([^\[\]]*)\]")
+
+
 def parse_path(text: str) -> Path:
-    """Parse "[],[],[1],[1]" into a validated path.  A "]" with no open "[",
-    a "[" still open at the end, or a shape between commas that is not
-    bracketed (empty, or a bare "1,1" that would split into two shapes) is a
-    malformed path."""
+    """Parse "[],[],[1],[1]" into a validated path.  Text that is not
+    bracketed shapes joined by commas (an unclosed or nested bracket, or a
+    shape left bare, empty or split by a comma) is a malformed path."""
     text = text.strip()
     if not text:
         raise ValueError("empty path")
-    pieces = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text + ","):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                break
-        elif ch == "," and depth == 0:
-            pieces.append(text[start:i].strip())
-            start = i + 1
-    if depth or not all(p.startswith("[") and p.endswith("]") for p in pieces):
+    if not _PATH.fullmatch(text):
         raise ValueError(f"malformed path {text!r}")
-    return check_path([parse_partition(p) for p in pieces])
+    return check_path([parse_partition(s) for s in _SHAPE.findall(text)])

@@ -41,7 +41,13 @@ def _emit(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _emit_sequence_csv(lam, mu, nu, entries) -> None:
+def _emit_sequence(fmt, lam, mu, nu, entries, **report) -> None:
+    """A Kronecker sequence as CSV rows, or as one JSON object: the triple,
+    the sequence, then the fields of report."""
+    if fmt == "json":
+        _emit({**_triple_json(lam, mu, nu),
+               "sequence": [[e.n, e.g, e.valid] for e in entries], **report})
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lambda", "mu", "nu", "n", "g", "valid"])
@@ -126,6 +132,8 @@ def cmd_simple_dim(args) -> None:
 
 def cmd_restrict(args) -> None:
     v = vertex(args.lam, args.k)
+    if args.n < 0:
+        raise ValueError("parameter n must be a nonnegative integer")
     down = (restrict_cell(v) if args.module == "cell"
             else restrict_simple(v, args.n))
     _emit({"vertex": _vertex_json(v), "n": args.n, "module": args.module,
@@ -155,12 +163,8 @@ def cmd_kronecker(args) -> None:
         return
     nmax = args.nmax if args.nmax is not None else args.max_n
     guard("n", nmax, "--max-n", args.max_n)
-    entries = kronecker_sequence(lam, mu, nu, nmax)
-    if args.format == "csv":
-        _emit_sequence_csv(lam, mu, nu, entries)
-        return
-    _emit({**_triple_json(lam, mu, nu),
-           "sequence": [[e.n, e.g, e.valid] for e in entries]})
+    _emit_sequence(args.format, lam, mu, nu,
+                   kronecker_sequence(lam, mu, nu, nmax))
 
 
 def cmd_stable(args) -> None:
@@ -176,14 +180,10 @@ def cmd_monotone(args) -> None:
             else stable_level(args.lam, args.mu, args.nu) + 2)
     guard("n_max", nmax, "--max-n", args.max_n)
     report = check_monotone(args.lam, args.mu, args.nu, nmax)
-    if args.format == "csv":
-        _emit_sequence_csv(report.lam, report.mu, report.nu, report.entries)
-        return
-    _emit({**_triple_json(report.lam, report.mu, report.nu),
-           "sequence": [[e.n, e.g, e.valid] for e in report.entries],
-           "stable": report.stable, "stable_at": report.stable_at,
-           "first_flat": report.first_flat, "passed": report.passed,
-           "violations": list(report.violations)})
+    _emit_sequence(args.format, report.lam, report.mu, report.nu,
+                   report.entries, stable=report.stable,
+                   stable_at=report.stable_at, first_flat=report.first_flat,
+                   passed=report.passed, violations=list(report.violations))
 
 
 def cmd_graph_dot(args) -> None:

@@ -126,12 +126,7 @@ class Diagram:
     def has_joined_last_dot(self) -> bool:
         """True when m and m' share a block (membership in the odd level)."""
         m = self.dots
-        if m == 0:
-            return True
-        for b in self.codes:
-            if m - 1 in b:
-                return b[-1] == 2 * m - 1
-        raise AssertionError("unreachable")
+        return m == 0 or any(m - 1 in b and 2 * m - 1 in b for b in self.codes)
 
     def __str__(self):
         """Render like [[1,2'],[2],[1']]; primes mark northern points."""
@@ -230,6 +225,46 @@ def parse_diagram(text: str, dots: int | None = None) -> Diagram:
     return _read_diagram(text, dots, code)
 
 
+# coefficient lists up to this many digits are packed and split digit by
+# digit; longer ones are halved, so that packing and unpacking each cost
+# O(L log L), not O(L^2).  Each product of packed coefficients is one int
+# multiply (Karatsuba in CPython, O(L^1.585)).
+_SHORT = 32
+
+
+def _pack(coeffs: tuple, w: int) -> int:
+    """c_0 + c_1 2^w + c_2 2^(2w) + ... for coeffs (c_0, c_1, ...)."""
+    if len(coeffs) <= _SHORT:
+        packed = 0
+        for v in reversed(coeffs):
+            packed = (packed << w) + v
+        return packed
+    h = len(coeffs) // 2
+    return _pack(coeffs[:h], w) + (_pack(coeffs[h:], w) << w * h)
+
+
+def _unpack(packed: int, w: int) -> list[int]:
+    """The balanced base-2^w digits of packed, lowest first, each in
+    [-2^(w-1), 2^(w-1)): the coefficients that _pack packed, perhaps
+    followed by zeros."""
+    half = 1 << (w - 1)
+    n = packed.bit_length() // w + 2   # |packed| < 2^(w(n-1)): n digits fit
+    # adding the n-digit number whose digits are all half turns each
+    # balanced digit d into the plain digit d + half
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+    return [d - half for d in _digits(packed + half * ones, n, w)]
+
+
+def _digits(x: int, n: int, w: int) -> list[int]:
+    """The n lowest base-2^w digits of x >= 0, lowest first."""
+    if n <= _SHORT:
+        mask = (1 << w) - 1
+        return [x >> w * i & mask for i in range(n)]
+    h = n // 2
+    low = _digits(x & ((1 << w * h) - 1), h, w)
+    return low + _digits(x >> w * h, n - h, w)
+
+
 def _halves(terms: dict, upper: bool, w: int) -> dict:
     """Split each diagram of terms at the middle row of a product, as the
     upper factor x or the lower factor y; group the diagrams by their middle
@@ -263,9 +298,7 @@ def _halves(terms: dict, upper: bool, w: int) -> dict:
         reach = _OnDemand(lambda joined, parts=parts:
                           sum([free for middle, free in parts
                                if middle & joined]))
-        packed = 0
-        for v in reversed(c.coeffs):
-            packed = (packed << w) + v
+        packed = _pack(c.coeffs, w)
         groups.setdefault(tuple([middle for middle, _ in parts]), []).append(
             (reach, whole, packed))
     return groups
@@ -315,17 +348,8 @@ def _product(m: int, a: dict, b: dict) -> dict[Diagram, ZPoly]:
     # a block's bitmask -> its codes, ascending
     blocks = _OnDemand(lambda mask: tuple([c for c in range(mask.bit_length())
                                            if mask >> c & 1]))
-    half = 1 << (w - 1)
-    base = 1 << w
-    out = {}
-    for key, packed in sums.items():
-        coeffs = []
-        while packed:   # balanced base-2^w digits, lowest first
-            packed, v = divmod(packed + half, base)
-            coeffs.append(v - half)
-        out[_diagram(m, tuple(sorted(map(blocks.__getitem__, key))))] = (
-            ZPoly(coeffs))
-    return out
+    return {_diagram(m, tuple(sorted(map(blocks.__getitem__, key)))):
+            ZPoly(_unpack(packed, w)) for key, packed in sums.items()}
 
 
 def compose(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
@@ -354,8 +378,6 @@ def enumerate_diagrams(k: int, max_level: int = DEFAULT_MAX_LEVEL) -> list[Diagr
 
     Counts are Bell numbers: Bell(k) diagrams at level k, for both parities.
     """
-    if k < 0:
-        raise ValueError("level must be nonnegative")
     guard("diagram enumeration level", k, "max_level", max_level)
     m = dots_for_level(k)
     if m == 0:

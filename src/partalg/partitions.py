@@ -19,7 +19,8 @@ Node = tuple[int, int]
 
 def is_partition(parts) -> bool:
     parts = tuple(parts)
-    if any(not isinstance(p, int) or p <= 0 for p in parts):
+    if any(not isinstance(p, int) or isinstance(p, bool) or p <= 0
+           for p in parts):
         return False
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 

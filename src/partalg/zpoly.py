@@ -34,15 +34,11 @@ class ZPoly:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = ZPoly.const(other)
+        other = _poly(other)
         if not isinstance(other, ZPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -51,8 +47,7 @@ class ZPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = ZPoly.const(other)
+        other = _poly(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -67,14 +62,12 @@ class ZPoly:
         return ZPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = ZPoly.const(other)
+        other = _poly(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = ZPoly.const(other)
-        if self.is_zero() or other.is_zero():
+        other = _poly(other)
+        if not (self and other):
             return ZPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -85,14 +78,6 @@ class ZPoly:
 
     __rmul__ = __mul__
 
-    def shifted(self, t: int) -> "ZPoly":
-        """Multiply by z^t."""
-        if t < 0:
-            raise ValueError("shift must be nonnegative")
-        if self.is_zero():
-            return self
-        return ZPoly((0,) * t + self.coeffs)
-
     def __call__(self, value: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -100,7 +85,7 @@ class ZPoly:
         return acc
 
     def __str__(self):
-        if self.is_zero():
+        if not self:
             return "0"
         pieces = []
         for d in range(self.degree, -1, -1):
@@ -120,6 +105,11 @@ class ZPoly:
     __repr__ = __str__
 
 
+def _poly(x) -> ZPoly:
+    """x as a ZPoly: an int is a constant, anything else is passed on."""
+    return ZPoly.const(x) if isinstance(x, int) else x
+
+
 _SIGNED_TERMS = re.compile(r"[+-]?[^+-]+")
 _TERM = re.compile(r"(?P<coef>\d+)?(?P<z>z(\^(?P<exp>\d+))?)?", re.ASCII)
 
@@ -133,12 +123,10 @@ def parse_zpoly(text: str) -> ZPoly:
     terms = _SIGNED_TERMS.findall(text)
     if "".join(terms) != text:
         raise ValueError(f"malformed polynomial {text!r}")
-    acc = ZPoly()
+    coeffs: list[int] = []
     for term in terms:
-        sign = 1
-        if term[0] in "+-":
-            sign = -1 if term[0] == "-" else 1
-            term = term[1:]
+        sign = -1 if term[0] == "-" else 1
+        term = term.lstrip("+-")   # one sign at most, by _SIGNED_TERMS
         m = _TERM.fullmatch(term)
         if not m or (m.group("coef") is None and m.group("z") is None):
             raise ValueError(f"malformed term {term!r}")
@@ -147,5 +135,6 @@ def parse_zpoly(text: str) -> ZPoly:
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
             exp = 0
-        acc = acc + ZPoly((0,) * exp + (sign * coef,))
-    return acc
+        coeffs += [0] * (exp + 1 - len(coeffs))
+        coeffs[exp] += sign * coef
+    return ZPoly(coeffs)

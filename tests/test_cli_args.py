@@ -228,6 +228,13 @@ def test_graph_dot_refuses_a_negative_level():
         1, "", "error: level must be nonnegative\n")
 
 
+def test_restrict_refuses_a_negative_n_for_either_module():
+    for module in ("simple", "cell"):
+        assert run(["restrict", "--k", "4", "--n", "-5", "--lambda", "1",
+                    "--module", module]) == (
+            1, "", "error: parameter n must be a nonnegative integer\n")
+
+
 def test_mult_reports_malformed_diagrams_in_diagram_terms():
     code, out, err = run(["mult", "--k", "2", "--a", "[[1,1']]+[[1],[1']]",
                           "--b", "[[1,1']]"])

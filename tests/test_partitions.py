@@ -27,6 +27,10 @@ def test_check_partition_accepts_and_rejects():
         check_partition((2, 0))
     with pytest.raises(ValueError):
         check_partition((2, -1))
+    # bools are ints to Python, but not parts
+    for parts in ((True,), (2, True), (False,)):
+        with pytest.raises(ValueError, match="not a partition"):
+            check_partition(parts)
 
 
 def test_parse_and_format():
@@ -49,9 +53,13 @@ def test_parse_and_format():
     with pytest.raises(ValueError, match="malformed partition"):
         parse_path("[],[],[+1]")
     for text in ("[],[1", "[],[],[1]]", "[],[]]", "[],,[]", "[],[],",
-                 "[],[],[1],1,1"):
+                 "[],[],[1],1,1", "[[]]", "[[1]]", "[],[[1]]", "[][]"):
         with pytest.raises(ValueError, match="malformed path"):
             parse_path(text)
+    for text in ("", "  ", "\t\n"):
+        with pytest.raises(ValueError, match="empty path"):
+            parse_path(text)
+    assert parse_path(" [] , [] ,\t[ 1 ] ") == ((), (), (1,))
 
 
 @given(partition_st)
