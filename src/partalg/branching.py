@@ -19,9 +19,9 @@ memoised walk behind both, extending each parent's paths once.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Callable
 from functools import cache
-from typing import NamedTuple
 
 from .errors import DEFAULT_MAX_LEVEL, guard
 from .partitions import (Partition, addable_nodes, check_partition,
@@ -32,9 +32,8 @@ from .partitions import (Partition, addable_nodes, check_partition,
 Path = tuple[Partition, ...]
 
 
-class Vertex(NamedTuple):
-    shape: Partition
-    level: int
+class Vertex(namedtuple("Vertex", "shape level")):
+    __slots__ = ()
 
     def __str__(self):
         return f"({format_partition(self.shape)}, {self.level})"

@@ -46,8 +46,10 @@ exact.
 
 from __future__ import annotations
 
+import re
+
 from .errors import DEFAULT_MAX_LEVEL, guard
-from .zpoly import ZPoly, parse_zpoly
+from .zpoly import ZPoly, _poly, parse_zpoly
 
 Point = int  # i for southern i, -i for northern i'
 
@@ -420,7 +422,7 @@ class AlgebraElement:
                 raise ValueError(f"diagram {d} has wrong dot count for level {level}")
             if level % 2 == 1 and not d.has_joined_last_dot():
                 raise ValueError(f"diagram {d} not in the odd level {level}")
-            clean[d] = ZPoly.const(c) if isinstance(c, int) else c
+            clean[d] = _poly(c)
         _set(self, "level", level)
         _set(self, "terms", _element(level, clean).terms)
 
@@ -456,11 +458,9 @@ class AlgebraElement:
         return _element(self.level, terms)
 
     def __sub__(self, other):
-        return self + other.scale(ZPoly.const(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "AlgebraElement":
-        if isinstance(c, int):
-            c = ZPoly.const(c)
         return _element(self.level, {d: c * v for d, v in self.terms.items()})
 
     def _check(self, other):
@@ -519,12 +519,16 @@ def _element(level: int, terms: dict) -> AlgebraElement:
     return e
 
 
+# " + " between terms, not inside a bracketed coefficient like (z + 1)
+_TERMS = re.compile(r" \+ (?![^(]*\))")
+
+
 def parse_element(text: str, level: int) -> AlgebraElement:
     """Parse sums like "[[1,1']] + z*[[1],[1']]" at the given level."""
     m = dots_for_level(level)
     code = _point_codes(m)
     terms: dict[Diagram, ZPoly] = {}
-    for chunk in text.split(" + "):
+    for chunk in _TERMS.split(text):
         chunk = chunk.strip()
         if not chunk or chunk == "0":
             continue

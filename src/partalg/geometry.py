@@ -17,15 +17,15 @@ oracles.py, as the model these shape rules are tested against.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .branching import Vertex, is_vertex
 from .partitions import row
 
 
-class AlcovePosition(NamedTuple):
-    kind: str  # "alcove" or "wall"
-    index: int
+# kind is "alcove" or "wall"
+class AlcovePosition(namedtuple("AlcovePosition", "kind index")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.kind} {self.index}"

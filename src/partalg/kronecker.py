@@ -46,9 +46,9 @@ check_monotone calls it at every n it reports.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from math import factorial
-from typing import NamedTuple
 
 from .partitions import Partition, check_partition, partitions_of
 
@@ -155,10 +155,7 @@ def kronecker_at(lam, mu, nu, n: int) -> tuple[int, bool]:
     return padded_kronecker(lam, mu, nu, min(n, _flat_level(lam, mu, nu)))
 
 
-class SequenceEntry(NamedTuple):
-    n: int
-    g: int
-    valid: bool
+SequenceEntry = namedtuple("SequenceEntry", "n g valid")
 
 
 def _literal_sequence(lam, mu, nu, n_max: int) -> list[SequenceEntry]:
@@ -217,17 +214,12 @@ def stable_kronecker(lam, mu, nu) -> tuple[int, int]:
             stable_level(lam, mu, nu))
 
 
-class MonotoneReport(NamedTuple):
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    entries: tuple[SequenceEntry, ...]
-    stable: int
-    stable_at: int          # n0, where flatness is guaranteed
-    first_flat: int | None  # least observed n with g_n at the limit already
-    passed: bool
-    violations: tuple[str, ...]
-    flat_at: int            # F, the level the limit was summed at
+# stable_at is n0, where flatness is guaranteed; first_flat the least
+# observed n with g_n at the limit already, or None; flat_at is F, the
+# level the limit was summed at
+MonotoneReport = namedtuple(
+    "MonotoneReport", "lam mu nu entries stable stable_at first_flat passed "
+    "violations flat_at")
 
 
 def check_monotone(lam, mu, nu, n_max: int) -> MonotoneReport:

@@ -34,10 +34,11 @@ the linkage classes are the block chains of modules.py.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import accumulate, combinations
 from math import factorial
-from typing import Callable, Iterator, NamedTuple
 
 from .branching import (Path, Vertex, cell_dimension, check_path,
                         enumerate_paths, parents, vertices_at_level)
@@ -96,13 +97,10 @@ def residue_equivalent(s: Path, t: Path, n: int) -> bool:
 
 # --- alcove geometry ---------------------------------------------------------
 
-class EmbeddedPoint(NamedTuple):
+class EmbeddedPoint(namedtuple("EmbeddedPoint", "head shape level n")):
     """phi_n of a vertex: head coordinate plus the staircase of the shape."""
 
-    head: int
-    shape: Partition
-    level: int
-    n: int
+    __slots__ = ()
 
     def coord(self, i: int) -> int:
         if i < 0:
@@ -194,12 +192,10 @@ def is_n_pair(lam: Partition, mu: Partition, n: int) -> bool:
     return row(mu, i) - i == n - sum(lam)
 
 
-class EdgeCase(NamedTuple):
-    """Diagnosis of a branching edge seen from an alcove-j target."""
-
-    case: str            # SAME_ALCOVE, WALL_J or WALL_J_MINUS_1
-    delta: int           # +1 or -1: the source is target -/+ nothing, i.e.
-    coordinate: int      # source = target + delta * epsilon_coordinate
+# Diagnosis of a branching edge seen from an alcove-j target: case is
+# SAME_ALCOVE, WALL_J or WALL_J_MINUS_1, and the source is target + delta *
+# epsilon_coordinate with delta +1 or -1.
+EdgeCase = namedtuple("EdgeCase", "case delta coordinate")
 
 
 def _step(x: EmbeddedPoint, y: EmbeddedPoint) -> tuple[int, int]:
@@ -468,10 +464,7 @@ def kronecker_by_class_sum(a: Partition, b: Partition, c: Partition) -> int:
 
 # --- selftest ----------------------------------------------------------------
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name ok detail")
 
 
 def check_step_residues() -> CheckResult:

@@ -11,7 +11,7 @@ dominance.  Smaller partitions sit higher.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 Partition = tuple[int, ...]
 Node = tuple[int, int]

@@ -204,6 +204,14 @@ def test_element_parse_and_str():
     assert zero == AlgebraElement.zero(2)
 
 
+def test_a_bracketed_coefficient_may_hold_spaces():
+    # terms split only at a " + " outside parentheses
+    assert (parse_element("(z + 1)*[[1,1']] + (2 + z)*[[1],[1']]", 2)
+            == parse_element("(z+1)*[[1,1']] + (2+z)*[[1],[1']]", 2))
+    with pytest.raises(ValueError, match="malformed diagram 'z'"):
+        parse_element("z + 1*[[1,1']]", 2)
+
+
 def _assert_canonical(x):
     """Terms in strictly increasing diagram order, no zero coefficient, and
     the constructor returns x unchanged."""

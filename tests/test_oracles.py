@@ -252,6 +252,12 @@ def test_no_module_imports_the_oracles_at_module_level():
             if isinstance(f, ast.FunctionDef)
             and "oracles" in _imported_modules(ast.walk(f))} == {
         "cmd_blocks", "cmd_selftest"}
+    # value records are collections.namedtuples: no module imports typing
+    named = {a.name if isinstance(node, ast.Import) else node.module
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for a in node.names}
+    assert not {m for m in named if m and m.split(".")[0] == "typing"}
     # the Kronecker layer stands on partitions alone
     assert imports["kronecker"] == {"partitions"}
     # bounds are checked where the user sets them, in the CLI, and in the
@@ -341,6 +347,11 @@ def loaded_at_start(module):
 def test_the_cli_starts_without_dataclasses():
     # dataclasses would pull inspect, ast, dis and tokenize into every start
     assert not loaded_at_start("dataclasses")
+
+
+def test_the_cli_starts_without_typing():
+    # value records are collections.namedtuples; typing costs every start
+    assert not loaded_at_start("typing")
 
 
 def test_the_cli_starts_without_the_oracles():
