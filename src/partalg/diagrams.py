@@ -4,11 +4,12 @@ A diagram on m dots is a set partition of {1, ..., m, 1', ..., m'}.  The
 unprimed points form the southern boundary, the primed points the northern
 boundary.  Each point has an integer code: southern i is i-1, northern i' is
 m+i-1, so the codes 0, ..., 2m-1 order the points as
-1 < 2 < ... < m < 1' < 2' < ... < m'.  A diagram is stored as one tuple of
-blocks, each block a sorted tuple of codes, blocks sorted by their first
-code.  Python's own order, hashing and equality on that tuple are the
-diagram's; no other form is stored.  The signed-point view (i for i, -i for
-i') that the constructor accepts is derived on demand as `blocks`.
+1 < 2 < ... < m < 1' < 2' < ... < m'.  A Diagram is the record (dots,
+codes): codes is one tuple of blocks, each block a sorted tuple of codes,
+blocks sorted by their first code.  Python's own order, hashing and
+equality on that tuple are the diagram's; no other form is stored.  The
+signed-point view (i for i, -i for i') that the constructor accepts is
+derived on demand as `blocks`.
 
 enumerate_diagrams generates set partitions directly in this order: the
 first block is the least code plus a subset of the other codes, subsets in
@@ -47,6 +48,7 @@ exact.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from .errors import DEFAULT_MAX_LEVEL, guard
 from .zpoly import ZPoly, _poly, parse_zpoly
@@ -68,12 +70,12 @@ def _point_label(p) -> str:
     return f"{-p}'" if isinstance(p, int) and p < 0 else str(p)
 
 
-class Diagram:
+class Diagram(namedtuple("Diagram", "dots codes")):
     """A set partition of the 2m boundary points, in canonical form."""
 
-    __slots__ = ("dots", "codes")
+    __slots__ = ()
 
-    def __init__(self, dots: int, blocks):
+    def __new__(cls, dots: int, blocks):
         seen: set[int] = set()
         canon = []
         for block in blocks:
@@ -94,11 +96,7 @@ class Diagram:
         if len(seen) != 2 * dots:
             raise ValueError("blocks do not cover all points")
         canon.sort()
-        _set(self, "dots", dots)
-        _set(self, "codes", tuple(canon))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Diagram is immutable")
+        return _diagram(dots, tuple(canon))
 
     @property
     def blocks(self) -> tuple[tuple[Point, ...], ...]:
@@ -106,16 +104,6 @@ class Diagram:
         m = self.dots
         return tuple(tuple(c + 1 if c < m else m - 1 - c for c in b)
                      for b in self.codes)
-
-    def __eq__(self, other):
-        # the codes 0..2m-1 fix the dot count, so codes alone decide
-        return isinstance(other, Diagram) and self.codes == other.codes
-
-    def __hash__(self):
-        return hash(self.codes)
-
-    def __lt__(self, other):
-        return self.codes < other.codes
 
     def involute(self) -> "Diagram":
         """Flip the diagram: swap primed and unprimed points."""
@@ -139,10 +127,7 @@ class Diagram:
 
 def _diagram(dots: int, codes: tuple) -> Diagram:
     """A Diagram from codes already in canonical form, unchecked."""
-    d = _new(Diagram)
-    _set(d, "dots", dots)
-    _set(d, "codes", codes)
-    return d
+    return tuple.__new__(Diagram, (dots, codes))
 
 
 class _OnDemand(dict):
@@ -423,6 +408,9 @@ class AlgebraElement:
             if level % 2 == 1 and not d.has_joined_last_dot():
                 raise ValueError(f"diagram {d} not in the odd level {level}")
             clean[d] = _poly(c)
+            if clean[d] is NotImplemented:
+                raise TypeError(f"coefficient {c!r} of {d} is not an int or "
+                                "a ZPoly")
         _set(self, "level", level)
         _set(self, "terms", _element(level, clean).terms)
 
@@ -504,18 +492,14 @@ def _coefficient_prefix(c: ZPoly) -> str:
     return text + "*"
 
 
-def _first_codes(item) -> tuple:
-    return item[0].codes
-
-
 def _element(level: int, terms: dict) -> AlgebraElement:
     """An AlgebraElement from ZPoly terms on diagrams of the level,
     unchecked; the one place terms are put in diagram order and zero
     coefficients dropped."""
     e = _new(AlgebraElement)
     _set(e, "level", level)
-    _set(e, "terms", dict(sorted([(d, c) for d, c in terms.items() if c],
-                                 key=_first_codes)))
+    # diagrams of one level share their dots, so pairs sort by codes
+    _set(e, "terms", dict(sorted([(d, c) for d, c in terms.items() if c])))
     return e
 
 
@@ -528,8 +512,11 @@ def parse_element(text: str, level: int) -> AlgebraElement:
     m = dots_for_level(level)
     code = _point_codes(m)
     terms: dict[Diagram, ZPoly] = {}
-    for chunk in _TERMS.split(text):
+    chunks = _TERMS.split(text)
+    for chunk in chunks:
         chunk = chunk.strip()
+        if not chunk and len(chunks) > 1:
+            raise ValueError(f"malformed element {text!r}: empty term")
         if not chunk or chunk == "0":
             continue
         if "*" in chunk:

@@ -39,8 +39,8 @@ class ZPoly:
 
     def __eq__(self, other):
         other = _poly(other)
-        if not isinstance(other, ZPoly):
-            return NotImplemented
+        if other is NotImplemented:
+            return other
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -48,6 +48,8 @@ class ZPoly:
 
     def __add__(self, other):
         other = _poly(other)
+        if other is NotImplemented:
+            return other
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -63,10 +65,14 @@ class ZPoly:
 
     def __sub__(self, other):
         other = _poly(other)
+        if other is NotImplemented:
+            return other
         return self + (-other)
 
     def __mul__(self, other):
         other = _poly(other)
+        if other is NotImplemented:
+            return other
         if not (self and other):
             return ZPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -106,8 +112,11 @@ class ZPoly:
 
 
 def _poly(x) -> ZPoly:
-    """x as a ZPoly: an int is a constant, anything else is passed on."""
-    return ZPoly.const(x) if isinstance(x, int) else x
+    """x as a ZPoly: an int is a constant and a ZPoly itself; anything else
+    is NotImplemented, for ZPoly's operators to hand back."""
+    if isinstance(x, ZPoly):
+        return x
+    return ZPoly.const(x) if isinstance(x, int) else NotImplemented
 
 
 _SIGNED_TERMS = re.compile(r"[+-]?[^+-]+")

@@ -247,6 +247,12 @@ def test_mult_reports_malformed_diagrams_in_diagram_terms():
             1, "", f"error: malformed diagram {a!r}\n")
 
 
+def test_mult_refuses_an_empty_term():
+    a = "[[1,1']] +  + [[1,1']]"
+    assert run(["mult", "--k", "2", "--a", a, "--b", "[[1,1']]"]) == (
+        1, "", f"error: malformed element {a!r}: empty term\n")
+
+
 # (level, operand, stderr) of malformed `mult` operands, as the parser
 # worded them before products and parsing moved to half diagrams
 MALFORMED_OPERANDS = [

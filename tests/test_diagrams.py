@@ -212,6 +212,24 @@ def test_a_bracketed_coefficient_may_hold_spaces():
         parse_element("z + 1*[[1,1']]", 2)
 
 
+def test_a_term_between_two_pluses_may_not_be_empty():
+    for text in ("[[1,1']] +  + [[1,1']]", " + [[1,1']]", "[[1,1']] + ",
+                 " + "):
+        with pytest.raises(ValueError, match="empty term"):
+            parse_element(text, 2)
+    for text in ("", "  ", "0", " 0 "):
+        assert parse_element(text, 2) == AlgebraElement.zero(2)
+
+
+def test_coefficients_are_ints_or_polynomials():
+    d = identity(1)
+    with pytest.raises(TypeError, match="coefficient 1.5"):
+        AlgebraElement(2, {d: 1.5})
+    with pytest.raises(TypeError):
+        AlgebraElement.one(2).scale(1.5)
+    assert AlgebraElement(2, {d: 2}) == AlgebraElement.one(2).scale(2)
+
+
 def _assert_canonical(x):
     """Terms in strictly increasing diagram order, no zero coefficient, and
     the constructor returns x unchanged."""

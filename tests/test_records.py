@@ -1,10 +1,11 @@
 """The value records are tuples with named fields: names and order, repr,
 str where a record defines it, equality and hash as plain tuples, and no
-per-instance dict."""
+per-instance dict.  A diagram's tuple order is its canonical order."""
 
 import pytest
 
 from partalg.branching import Vertex
+from partalg.diagrams import Diagram, enumerate_diagrams
 from partalg.geometry import AlcovePosition, position
 from partalg.kronecker import MonotoneReport, SequenceEntry, check_monotone
 from partalg.oracles import CheckResult, EdgeCase, EmbeddedPoint
@@ -35,6 +36,8 @@ RECORDS = [
      "(3 | 1,-1,-3,...)"),
     (CheckResult("step_residues", True, "9 pairs"), ("name", "ok", "detail"),
      "CheckResult(name='step_residues', ok=True, detail='9 pairs')", None),
+    (Diagram(2, [[1, -2], [2], [-1]]), ("dots", "codes"),
+     "[[1,2'],[2],[1']]", None),
 ]
 
 
@@ -53,3 +56,8 @@ def test_records_compare_with_the_tuples_callers_write():
     assert Vertex((), 0) == ((), 0) and not hasattr(Vertex((), 0), "__dict__")
     assert position(Vertex((1,), 2), 3) in (("alcove", 1), ("wall", 0))
     assert check_monotone((1,), (1,), (), 2) == RECORDS[3][0]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_diagrams_enumerate_in_tuple_order(k):
+    assert sorted(enumerate_diagrams(k)) == enumerate_diagrams(k)

@@ -42,6 +42,16 @@ def test_parse():
             parse_zpoly(text)
 
 
+def test_only_ints_and_polynomials_mix_with_polynomials():
+    p = ZPoly((1,))
+    for op in (lambda: p + 1.5, lambda: 1.5 + p, lambda: p - 1.5,
+               lambda: p * 1.5, lambda: 1.5 * p, lambda: p + "1",
+               lambda: p * None):
+        with pytest.raises(TypeError):
+            op()
+    assert p != 1.5 and not p == 1.5 and p == 1
+
+
 @given(poly_st)
 def test_format_parse_round_trip(p):
     if not p:
