@@ -9,7 +9,10 @@ codes): codes is one tuple of blocks, each block a sorted tuple of codes,
 blocks sorted by their first code.  Python's own order, hashing and
 equality on that tuple are the diagram's; no other form is stored.  The
 signed-point view (i for i, -i for i') that the constructor accepts is
-derived on demand as `blocks`.
+derived on demand as `blocks`.  Parsed text, flips and the tower inclusion
+all build through that validating constructor; only products,
+enumeration and the identity, whose codes are canonical by construction,
+build unchecked through _diagram.
 
 enumerate_diagrams generates set partitions directly in this order: the
 first block is the least code plus a subset of the other codes, subsets in
@@ -54,9 +57,6 @@ from .errors import DEFAULT_MAX_LEVEL, guard
 from .zpoly import ZPoly, _poly, parse_zpoly
 
 Point = int  # i for southern i, -i for northern i'
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def dots_for_level(k: int) -> int:
@@ -107,11 +107,11 @@ class Diagram(namedtuple("Diagram", "dots codes")):
 
     def involute(self) -> "Diagram":
         """Flip the diagram: swap primed and unprimed points."""
-        m = self.dots
-        flipped = [tuple([c - m for c in b if c >= m]
-                         + [c + m for c in b if c < m]) for b in self.codes]
-        flipped.sort()
-        return _diagram(m, tuple(flipped))
+        return Diagram(self.dots, [[-p for p in b] for b in self.blocks])
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through the validating constructor
+        return self.dots, self.blocks
 
     def has_joined_last_dot(self) -> bool:
         """True when m and m' share a block (membership in the odd level)."""
@@ -143,16 +143,11 @@ class _OnDemand(dict):
         return value
 
 
-def _labels(m: int) -> list[str]:
-    """The printed point of each code on m dots."""
-    south = [str(i) for i in range(1, m + 1)]
-    return south + [f"{i}'" for i in south]
-
-
 def format_diagrams(dots: int, diagrams) -> list[str]:
     """Render diagrams on the given dot count as str(d) does, building the
     text of each distinct block once per call."""
-    labels = _labels(dots)
+    south = [str(i) for i in range(1, dots + 1)]
+    labels = south + [f"{i}'" for i in south]   # the text of each code
     block = _OnDemand(lambda b: "[" + ",".join([labels[c] for c in b]) + "]")
     text = block.__getitem__
     return ["[" + ",".join(map(text, d.codes)) + "]" for d in diagrams]
@@ -169,14 +164,10 @@ def _point(tok: str, text: str) -> int:
     return -int(digits) if primed else int(digits)
 
 
-def _read_diagram(text: str, dots: int | None, code: dict) -> Diagram:
-    """The diagram written as text, like [[1,2'],[2],[1']], on dots (by
-    default the largest point written).  code maps each printed point of
-    dots ("1", ..., "1'", ...) to its code.  A token it lacks (a point
-    written another way, such as 01, one out of range or a malformed
-    token), or text that does not cover every point once, is read point
-    by point: _point names a malformed token, the Diagram constructor any
-    other fault."""
+def parse_diagram(text: str, dots: int | None = None) -> Diagram:
+    """Read a diagram written like [[1,2'],[2],[1']] on dots, by default
+    the largest point written.  _point names a malformed token, the
+    Diagram constructor any other fault."""
     flat = text.strip().replace(" ", "")
     if flat == "[]":
         chunks = []
@@ -184,32 +175,10 @@ def _read_diagram(text: str, dots: int | None, code: dict) -> Diagram:
         chunks = [chunk.split(",") for chunk in flat[2:-2].split("],[")]
     else:
         raise ValueError(f"malformed diagram {flat!r}")
-    try:
-        blocks = [tuple(sorted([code[tok] for tok in toks]))
-                  for toks in chunks]
-    except KeyError:
-        blocks = None
-    # table codes lie in 0..2m-1, so 2m of them, all distinct, cover
-    if blocks and sum(map(len, blocks)) == len(set().union(*blocks)) == (
-            2 * dots):
-        blocks.sort()
-        return _diagram(dots, tuple(blocks))
     points = [[_point(tok, flat) for tok in toks] for toks in chunks]
     if dots is None:
         dots = max((abs(p) for block in points for p in block), default=0)
     return Diagram(dots, points)
-
-
-def _point_codes(m: int) -> dict[str, int]:
-    """The code of each printed point on m dots."""
-    return {label: c for c, label in enumerate(_labels(m))}
-
-
-def parse_diagram(text: str, dots: int | None = None) -> Diagram:
-    """Read a diagram written like [[1,2'],[2],[1']] on dots, by default
-    the largest point written."""
-    code = {} if dots is None else _point_codes(dots)
-    return _read_diagram(text, dots, code)
 
 
 # coefficient lists up to this many digits are packed and split digit by
@@ -399,7 +368,7 @@ class AlgebraElement:
 
     __slots__ = ("level", "terms")
 
-    def __init__(self, level: int, terms=None):
+    def __new__(cls, level: int, terms=None):
         m = dots_for_level(level)
         clean: dict[Diagram, ZPoly] = {}
         for d, c in (terms or {}).items():
@@ -411,11 +380,13 @@ class AlgebraElement:
             if clean[d] is NotImplemented:
                 raise TypeError(f"coefficient {c!r} of {d} is not an int or "
                                 "a ZPoly")
-        _set(self, "level", level)
-        _set(self, "terms", _element(level, clean).terms)
+        return _element(level, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
+
+    def __reduce__(self):
+        return AlgebraElement, (self.level, self.terms)
 
     @classmethod
     def from_diagram(cls, d: Diagram, level: int) -> "AlgebraElement":
@@ -496,10 +467,11 @@ def _element(level: int, terms: dict) -> AlgebraElement:
     """An AlgebraElement from ZPoly terms on diagrams of the level,
     unchecked; the one place terms are put in diagram order and zero
     coefficients dropped."""
-    e = _new(AlgebraElement)
-    _set(e, "level", level)
+    e = object.__new__(AlgebraElement)
+    object.__setattr__(e, "level", level)
     # diagrams of one level share their dots, so pairs sort by codes
-    _set(e, "terms", dict(sorted([(d, c) for d, c in terms.items() if c])))
+    object.__setattr__(e, "terms",
+                       dict(sorted([(d, c) for d, c in terms.items() if c])))
     return e
 
 
@@ -510,7 +482,6 @@ _TERMS = re.compile(r" \+ (?![^(]*\))")
 def parse_element(text: str, level: int) -> AlgebraElement:
     """Parse sums like "[[1,1']] + z*[[1],[1']]" at the given level."""
     m = dots_for_level(level)
-    code = _point_codes(m)
     terms: dict[Diagram, ZPoly] = {}
     chunks = _TERMS.split(text)
     for chunk in chunks:
@@ -527,7 +498,7 @@ def parse_element(text: str, level: int) -> AlgebraElement:
             coef = parse_zpoly(coef_text)
         else:
             coef, diag_text = ZPoly.const(1), chunk
-        d = _read_diagram(diag_text, m, code)
+        d = parse_diagram(diag_text, m)
         prev = terms.get(d)
         terms[d] = coef if prev is None else prev + coef
     # the constructor checks odd-level membership, zero terms included
@@ -543,14 +514,6 @@ def embed_up(a: AlgebraElement) -> AlgebraElement:
     k = a.level
     if k % 2 == 1:
         return _element(k + 1, a.terms)
-    m = dots_for_level(k)
-    # northern codes move up by one to make room for the new southern code
-    # m; its block (m, 2m+1) sorts after every block opening with a southern
-    # code
-    terms = {}
-    for d, c in a.terms.items():
-        blocks = [tuple([p if p < m else p + 1 for p in b]) for b in d.codes]
-        at = sum(1 for b in d.codes if b[0] < m)
-        blocks.insert(at, (m, 2 * m + 1))
-        terms[_diagram(m + 1, tuple(blocks))] = c
-    return _element(k + 1, terms)
+    m = dots_for_level(k) + 1
+    return _element(k + 1, {Diagram(m, d.blocks + ((m, -m),)): c
+                            for d, c in a.terms.items()})

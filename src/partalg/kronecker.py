@@ -243,11 +243,12 @@ def check_monotone(lam, mu, nu, n_max: int) -> MonotoneReport:
     for e in entries:
         if e.n >= n0 and e.g != stable:
             violations.append(f"g_{e.n}={e.g} differs from the limit past n0={n0}")
+    # the least valid n in the trailing run of entries at the limit
     first_flat = None
-    for e in entries:
-        if e.valid and e.g == stable and all(
-                later.g == stable for later in entries if later.n >= e.n):
-            first_flat = e.n
+    for e in reversed(entries):
+        if e.g != stable:
             break
+        if e.valid:
+            first_flat = e.n
     return MonotoneReport(lam, mu, nu, tuple(entries), stable, n0,
                           first_flat, not violations, tuple(violations), flat)

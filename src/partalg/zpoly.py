@@ -14,12 +14,18 @@ class ZPoly:
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} is not an int")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("ZPoly is immutable")
+
+    def __reduce__(self):
+        return ZPoly, (self.coeffs,)
 
     @classmethod
     def const(cls, c: int) -> "ZPoly":

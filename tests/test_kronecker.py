@@ -201,6 +201,11 @@ def test_monotone_reports():
     assert report.violations == ()
     assert report.entries[-1].g == report.stable
 
+    report = check_monotone((1,), (1,), (5,), 14)       # limit 0
+    assert report.passed and report.stable == 0
+    assert report.first_flat == 10
+    assert not any(e.valid for e in report.entries[:10])
+
 
 def test_monotone_across_small_triples():
     shapes = [(), (1,), (2,), (1, 1)]

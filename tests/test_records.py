@@ -1,14 +1,19 @@
 """The value records are tuples with named fields: names and order, repr,
 str where a record defines it, equality and hash as plain tuples, and no
-per-instance dict.  A diagram's tuple order is its canonical order."""
+per-instance dict.  A diagram's tuple order is its canonical order.  Every
+value, records and the two algebra types, survives copy and pickle."""
+
+import copy
+import pickle
 
 import pytest
 
 from partalg.branching import Vertex
-from partalg.diagrams import Diagram, enumerate_diagrams
+from partalg.diagrams import Diagram, enumerate_diagrams, parse_element
 from partalg.geometry import AlcovePosition, position
 from partalg.kronecker import MonotoneReport, SequenceEntry, check_monotone
 from partalg.oracles import CheckResult, EdgeCase, EmbeddedPoint
+from partalg.zpoly import ZPoly
 
 ENTRIES = (SequenceEntry(0, 0, False), SequenceEntry(1, 0, False),
            SequenceEntry(2, 1, True))
@@ -61,3 +66,17 @@ def test_records_compare_with_the_tuples_callers_write():
 @pytest.mark.parametrize("k", range(7))
 def test_diagrams_enumerate_in_tuple_order(k):
     assert sorted(enumerate_diagrams(k)) == enumerate_diagrams(k)
+
+
+VALUES = [r[0] for r in RECORDS] + [
+    ZPoly((-1, 0, 3)),
+    parse_element("(z-1)*[[1,2'],[2],[1']] + [[1,1'],[2,2']]", 4)]
+
+
+@pytest.mark.parametrize("value", VALUES,
+                         ids=[type(v).__name__ for v in VALUES])
+def test_values_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and str(twin) == str(value)

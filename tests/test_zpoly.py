@@ -46,7 +46,7 @@ def test_only_ints_and_polynomials_mix_with_polynomials():
     p = ZPoly((1,))
     for op in (lambda: p + 1.5, lambda: 1.5 + p, lambda: p - 1.5,
                lambda: p * 1.5, lambda: 1.5 * p, lambda: p + "1",
-               lambda: p * None):
+               lambda: p * None, lambda: ZPoly([0.5, 2])):
         with pytest.raises(TypeError):
             op()
     assert p != 1.5 and not p == 1.5 and p == 1
