@@ -9,10 +9,10 @@ codes): codes is one tuple of blocks, each block a sorted tuple of codes,
 blocks sorted by their first code.  Python's own order, hashing and
 equality on that tuple are the diagram's; no other form is stored.  The
 signed-point view (i for i, -i for i') that the constructor accepts is
-derived on demand as `blocks`.  Parsed text, flips and the tower inclusion
-all build through that validating constructor; only products,
-enumeration and the identity, whose codes are canonical by construction,
-build unchecked through _diagram.
+derived on demand as `blocks`.  Parsed text, flips, the tower inclusion
+and the identity all build through that validating constructor; only
+products and enumeration, whose codes are canonical by construction, build
+unchecked through _diagram.
 
 enumerate_diagrams generates set partitions directly in this order: the
 first block is the least code plus a subset of the other codes, subsets in
@@ -76,6 +76,9 @@ class Diagram(namedtuple("Diagram", "dots codes")):
     __slots__ = ()
 
     def __new__(cls, dots: int, blocks):
+        if not isinstance(dots, int) or isinstance(dots, bool) or dots < 0:
+            raise ValueError(f"dot count {dots!r} is not a nonnegative "
+                             "integer")
         seen: set[int] = set()
         canon = []
         for block in blocks:
@@ -314,7 +317,7 @@ def compose(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     x times y with unit coefficients."""
     if x.dots != y.dots:
         raise ValueError("diagrams on different dot counts")
-    one = ZPoly.const(1)
+    one = ZPoly((1,))
     ((d, c),) = _product(x.dots, {x: one}, {y: one}).items()
     return d, c.degree
 
@@ -389,18 +392,9 @@ class AlgebraElement:
         return AlgebraElement, (self.level, self.terms)
 
     @classmethod
-    def from_diagram(cls, d: Diagram, level: int) -> "AlgebraElement":
-        return cls(level, {d: ZPoly.const(1)})
-
-    @classmethod
-    def zero(cls, level: int) -> "AlgebraElement":
-        return cls(level, {})
-
-    @classmethod
     def one(cls, level: int) -> "AlgebraElement":
         m = dots_for_level(level)   # each dot joined to its primed partner
-        return cls.from_diagram(
-            _diagram(m, tuple((i, m + i) for i in range(m))), level)
+        return cls(level, {Diagram(m, [(i, -i) for i in range(1, m + 1)]): 1})
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)
@@ -417,6 +411,7 @@ class AlgebraElement:
         return _element(self.level, terms)
 
     def __sub__(self, other):
+        self._check(other)
         return self + other.scale(-1)
 
     def scale(self, c) -> "AlgebraElement":
@@ -497,7 +492,7 @@ def parse_element(text: str, level: int) -> AlgebraElement:
                 coef_text = coef_text[1:-1]
             coef = parse_zpoly(coef_text)
         else:
-            coef, diag_text = ZPoly.const(1), chunk
+            coef, diag_text = ZPoly((1,)), chunk
         d = parse_diagram(diag_text, m)
         prev = terms.get(d)
         terms[d] = coef if prev is None else prev + coef

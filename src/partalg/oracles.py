@@ -71,9 +71,9 @@ def edge_content(prev: Partition, cur: Partition, level: int) -> ZPoly:
     if level % 2 == 0:
         if cur == prev:
             return ZPoly((-sum(cur), 1))
-        return ZPoly.const(node_content(_added_node(prev, cur)))
+        return ZPoly((node_content(_added_node(prev, cur)),))
     if cur == prev:
-        return ZPoly.const(sum(cur))
+        return ZPoly((sum(cur),))
     return ZPoly((-node_content(_added_node(cur, prev)), 1))
 
 

@@ -27,14 +27,6 @@ class ZPoly:
     def __reduce__(self):
         return ZPoly, (self.coeffs,)
 
-    @classmethod
-    def const(cls, c: int) -> "ZPoly":
-        return cls((c,))
-
-    @classmethod
-    def z(cls) -> "ZPoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -50,7 +42,8 @@ class ZPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its int, so it hashes as that int
+        return hash(self.coeffs if len(self.coeffs) > 1 else sum(self.coeffs))
 
     def __add__(self, other):
         other = _poly(other)
@@ -122,7 +115,7 @@ def _poly(x) -> ZPoly:
     is NotImplemented, for ZPoly's operators to hand back."""
     if isinstance(x, ZPoly):
         return x
-    return ZPoly.const(x) if isinstance(x, int) else NotImplemented
+    return ZPoly((x,)) if isinstance(x, int) else NotImplemented
 
 
 _SIGNED_TERMS = re.compile(r"[+-]?[^+-]+")

@@ -2,7 +2,9 @@
 table, and argparse for everything else (help, usage errors)."""
 
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -292,3 +294,83 @@ def test_malformed_mult_operands_keep_their_messages(k, operand, err):
         1, "", err)
     assert run(["mult", "--k", k, "--a", identity, "--b", operand]) == (
         1, "", err)
+
+
+# the edge grid: each verb at levels, n and shapes at and past their edges
+EDGE_K = ["-1", "0", "1", "2", "3", "5"]
+EDGE_N = ["-1", "0", "1", "2", "7"]
+EDGE_SHAPES = ["", "[]", "1", "2,1", "0", "1,2", "3"]
+EDGE_TRIPLE = ["", "1", "2", "1,1"]
+EDGE_OPERANDS = ["0", "1", "[]", "[[1,1']]", "[[1],[1']]",
+                 "[[1,1'],[2],[2']]"]
+# each verb that reads --max-k, with its other required flags
+EDGE_MAX_K = {"diagrams": [], "paths": ["--lambda", ""],
+              "blocks": ["--n", "2"], "graph-dot": ["--n", "2"],
+              "permissible": ["--n", "2", "--lambda", ""]}
+
+
+def edge_argvs():
+    for k in EDGE_K:
+        yield ["diagrams", "--k", k]
+        yield ["dims", "--k", k]
+        for verb, flags in EDGE_MAX_K.items():
+            yield [verb, "--k", k, *flags, "--max-k", "2"]
+        for lam in EDGE_SHAPES:
+            yield ["paths", "--k", k, "--lambda", lam]
+            yield ["dims", "--k", k, "--lambda", lam]
+        for n in EDGE_N:
+            yield ["blocks", "--k", k, "--n", n]
+            yield ["blocks", "--k", k, "--n", n, "--verify"]
+            yield ["graph-dot", "--k", k, "--n", n]
+            yield ["decomp", "--k", k, "--n", n]
+            for lam in EDGE_SHAPES:
+                yield ["decomp", "--k", k, "--n", n, "--lambda", lam]
+                yield ["simple-dim", "--k", k, "--n", n, "--lambda", lam]
+                yield ["permissible", "--k", k, "--n", n, "--lambda", lam]
+                for module in ("simple", "cell"):
+                    yield ["restrict", "--k", k, "--n", n, "--lambda", lam,
+                           "--module", module]
+        for a, b in itertools.product(EDGE_OPERANDS, repeat=2):
+            yield ["mult", "--k", k, "--a", a, "--b", b]
+    for lam, mu, nu in itertools.product(EDGE_TRIPLE, repeat=3):
+        triple = ["--lambda", lam, "--mu", mu, "--nu", nu]
+        for verb in ("kronecker", "stable", "monotone"):
+            yield [verb, *triple]
+            yield [verb, *triple, "--max-n", "2"]
+        for n in EDGE_N:
+            yield ["kronecker", *triple, "--n", n]
+            yield ["kronecker", *triple, "--nmax", n]
+            yield ["monotone", *triple, "--nmax", n]
+
+
+# sha256 of (argv, exit, stdout, stderr) over the grid, stderr only where it
+# is the CLI's own error: or refused: line
+EDGE_DIGEST = ("bd018a64072f0fa06730a3bbb9678917281a892a"
+               "77ef9ab679c79fc60f3ee742")
+
+
+def test_the_edge_grid_keeps_its_exit_codes_and_bytes():
+    """Every argv of the grid exits 0 with output and an empty stderr, 1 or
+    3 with one error: or refused: line and no output, or 2 with argparse's
+    usage.  Usage messages are checked by shape only: their wording is
+    argparse's and may differ between Python releases."""
+    digest = hashlib.sha256()
+    codes = {}
+    for argv in edge_argvs():
+        code, out, err = run(argv)
+        codes[code] = codes.get(code, 0) + 1
+        if code == 0:
+            assert out.endswith("\n") and err == "", argv
+        elif code == 2:
+            assert out == "" and err.startswith("usage: partalg"), argv
+            assert err.splitlines()[-1].startswith(
+                f"partalg {argv[0]}: error: "), argv
+            err = None
+        else:
+            assert code in (1, 3), argv
+            tag = {1: "error: ", 3: "refused: "}[code]
+            assert out == "" and err.startswith(tag), argv
+            assert err.count("\n") == 1 and err.endswith("\n"), argv
+        digest.update(repr((argv, code, out, err)).encode())
+    assert all(codes.get(c) for c in (0, 1, 2, 3)), codes
+    assert digest.hexdigest() == EDGE_DIGEST

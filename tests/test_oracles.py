@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -28,6 +29,7 @@ from partalg.partitions import partitions_of, partitions_up_to
 
 PACKAGE = Path(partalg.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH = README.parent / "bench"
 
 
 def test_permissible_walk_equals_the_path_filter():
@@ -297,17 +299,25 @@ def test_no_module_imports_the_oracles_at_module_level():
     assert not closure & chain_names
 
 
-def _reads(node, inside=()):
-    """(name, enclosing definitions) for every Name or Attribute that node
-    and its children read."""
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+def _reads(node, inside=(), names=True):
+    """(name, enclosing definitions) for every Attribute, and unless names
+    is false every Name, that node and its children read."""
+    if names and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         yield node.id, inside
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         yield node.attr, inside
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         inside += (node.name,)
     for child in ast.iter_child_nodes(node):
-        yield from _reads(child, inside)
+        yield from _reads(child, inside, names)
+
+
+def _tour():
+    """The parsed examples of the README's library tour."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        re.M | re.S)
+    return [ast.parse(example.source) for block in blocks
+            for example in doctest.DocTestParser().get_examples(block)]
 
 
 def test_every_export_has_a_caller():
@@ -322,13 +332,31 @@ def test_every_export_has_a_caller():
     used = {name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
             for name, inside in _reads(ast.parse(p.read_text()))
             if name not in inside}
-    tour = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
-                      re.M | re.S)
-    toured = {name for block in tour
-              for example in doctest.DocTestParser().get_examples(block)
-              for name, _ in _reads(ast.parse(example.source))}
-    assert tour and "parse_diagram" in toured
+    toured = {name for example in _tour() for name, _ in _reads(example)}
+    assert "parse_diagram" in toured
     assert sorted(set(partalg.__all__) - used - toured) == []
+
+
+def test_every_public_method_has_a_caller():
+    """The same rule for each public method, classmethod and property of an
+    exported class: a module of the package other than __init__.py reads it
+    as an attribute outside its own definition, or bench/*.py or the README's
+    library tour does.  Namedtuple fields and slots are data, not methods."""
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")
+             if p.name != "__init__.py"]
+    trees += [ast.parse(p.read_text()) for p in BENCH.glob("*.py")]
+    read = {name for tree in trees + _tour()
+            for name, inside in _reads(tree, names=False)
+            if name not in inside}
+    classes = [cls for cls in map(vars(partalg).get, partalg.__all__)
+               if isinstance(cls, type)]
+    methods = [f"{cls.__name__}.{name}" for cls in classes
+               for name, value in vars(cls).items()
+               if not name.startswith("_")
+               and isinstance(value, (FunctionType, classmethod,
+                                      staticmethod, property))]
+    assert "ZPoly.degree" in methods and "Diagram.dots" not in methods
+    assert [m for m in methods if m.split(".")[1] not in read] == []
 
 
 def loaded_at_start(module):

@@ -19,7 +19,7 @@ def test_content_vector_worked_examples():
 
 def test_content_values_evaluate():
     assert ZPoly((-1, 1))(2) == 1
-    assert ZPoly.const(3)(7) == 3
+    assert ZPoly((3,))(7) == 3
     assert str(ZPoly((0, 1))) == "z"
     assert str(ZPoly((-1, 1))) == "z-1"
     assert str(ZPoly((2, 1))) == "z+2"
